@@ -7,23 +7,42 @@ records later. Serialization is versioned JSON and round-trips exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
-from ..dataset import Dataset, FeatureSchema, Standardization, fit_standardization, standardize
-from ..errors import LengthMismatch
-from .knn import KNNModel, euclidean_distance, knn_fit
+from ..dataset import Dataset, FeatureSchema, Standardization, standardize
+from ..errors import DataError, LengthMismatch
+from .knn import KNNModel, knn_fit
 from .naive_bayes import NBModel, nb_fit
-from .params import HyperParams, KNNParams, NBParams, SVMParams, params_from_dict
-from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, rbf_kernel, svm_fit
+from .params import HyperParams, KNNParams, NBParams, SVMParams
+from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, svm_fit
 
 __all__ = [
     "NBParams", "KNNParams", "SVMParams", "HyperParams", "params_from_dict",
-    "NBModel", "KNNModel", "SVMModel", "FittedModel",
+    "NBModel", "KNNModel", "SVMModel", "FittedModel", "ALGORITHMS",
     "nb_fit", "knn_fit", "svm_fit", "fit_model",
-    "euclidean_distance", "rbf_kernel", "rbf_gram", "dual_objective", "kkt_residuals",
+    "rbf_gram", "dual_objective", "kkt_residuals",
     "load_model", "save_model",
 ]
+
+
+class Algorithm(NamedTuple):
+    params: type
+    model: type
+
+
+# Every classifier, keyed by the name that params, grids and model files carry.
+ALGORITHMS = {
+    "nb": Algorithm(NBParams, NBModel),
+    "knn": Algorithm(KNNParams, KNNModel),
+    "svm": Algorithm(SVMParams, SVMModel),
+}
+
+
+def params_from_dict(d) -> HyperParams:
+    return ALGORITHMS[d["algorithm"]].params.from_dict(d)
 
 
 class FittedModel:
@@ -35,40 +54,35 @@ class FittedModel:
 
     @property
     def algorithm(self) -> str:
-        return self.model.params.algorithm if hasattr(self.model, "params") else "knn"
+        return self.model.params.algorithm
 
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.schema)
-
-    def _transform(self, X: np.ndarray) -> np.ndarray:
+    def _transform(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.schema):
             raise LengthMismatch(len(self.schema), X.shape)
         return self.scaling.apply(X) if self.scaling is not None else X
 
     def predict(self, x) -> int:
-        X = np.asarray(x, dtype=np.float64)[None, :]
-        return int(self.model.predict(self._transform(X)[0]))
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         return self.model.predict_batch(self._transform(X))
 
     def posterior(self, x):
-        """Class-probability vector; only the naive Bayes model supplies one."""
+        """Class-probability vector of one row; only naive Bayes supplies one."""
+        post = self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])
+        return None if post is None else post[0]
+
+    def posterior_batch(self, X):
+        """Class-probability rows of X, shape (n, 2); None unless naive Bayes."""
         if not isinstance(self.model, NBModel):
             return None
-        X = np.asarray(x, dtype=np.float64)[None, :]
-        return self.model.posterior(self._transform(X)[0])
+        return self.model.posterior_batch(self._transform(X))
 
     def to_dict(self):
         d = {
             "format_version": 1,
-            "schema": [
-                {"name": f.name, "kind": f.kind,
-                 "allowed_values": list(f.allowed_values) if f.allowed_values else None}
-                for f in self.schema
-            ],
+            "schema": [asdict(f) for f in self.schema],
             "model": self.model.to_dict(),
             "scaling": None,
         }
@@ -85,14 +99,7 @@ class FittedModel:
             for f in d["schema"]
         )
         md = d["model"]
-        if md["algorithm"] == "nb":
-            model = NBModel.from_dict(md, schema)
-        elif md["algorithm"] == "knn":
-            model = KNNModel.from_dict(md)
-        elif md["algorithm"] == "svm":
-            model = SVMModel.from_dict(md)
-        else:
-            raise ValueError(f"unknown algorithm {md['algorithm']!r}")
+        model = ALGORITHMS[md["algorithm"]].model.from_dict(md, schema)
         scaling = None
         if d.get("scaling") is not None:
             scaling = Standardization(mean=np.asarray(d["scaling"]["mean"]),
@@ -100,24 +107,14 @@ class FittedModel:
         return cls(model=model, schema=schema, scaling=scaling)
 
 
-def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False,
-              **fit_kwargs) -> FittedModel:
+def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False) -> FittedModel:
     """Fit the classifier selected by params, optionally z-scoring continuous
     features first (stats computed from ds itself)."""
-    stats = None
-    train = ds
-    if scaling:
-        stats = fit_standardization(ds)
-        train, _ = standardize(ds, stats)
-    if isinstance(params, NBParams):
-        model = nb_fit(train, params)
-    elif isinstance(params, KNNParams):
-        model = knn_fit(train, params)
-    elif isinstance(params, SVMParams):
-        model = svm_fit(train, params, **fit_kwargs)
-    else:
-        raise TypeError(f"unknown hyperparameter type {type(params)!r}")
-    return FittedModel(model=model, schema=ds.schema, scaling=stats)
+    train, stats = standardize(ds) if scaling else (ds, None)
+    # looked up per call, not stored in ALGORITHMS, so that instrumentation
+    # that replaces these module attributes (perfbench/spans.py) sees the fits
+    fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]
+    return FittedModel(model=fit(train, params), schema=ds.schema, scaling=stats)
 
 
 def save_model(fitted: FittedModel, path) -> None:
@@ -127,4 +124,10 @@ def save_model(fitted: FittedModel, path) -> None:
 
 def load_model(path) -> FittedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return FittedModel.from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+            if d["format_version"] != 1:
+                raise ValueError(f"format_version {d['format_version']!r}, expected 1")
+            return FittedModel.from_dict(d)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path} is not a cadml model: {exc!r}") from None

@@ -12,14 +12,6 @@ from ..errors import LengthMismatch, TooFewRows
 from .params import KNNParams
 
 
-def euclidean_distance(x, p) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if x.shape != p.shape:
-        raise LengthMismatch(x.shape, p.shape)
-    return float(np.sqrt(np.sum((x - p) ** 2)))
-
-
 class KNNModel:
     def __init__(self, X, y, k: int):
         self.X = np.asarray(X, dtype=np.float64)
@@ -32,22 +24,32 @@ class KNNModel:
     def n_features(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def params(self) -> KNNParams:
+        # k stays the constructor argument: an even k, which KNNParams
+        # rejects, is the only way to reach the vote-tie rule
+        return KNNParams(k=self.k)
+
     def predict(self, x) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise LengthMismatch(self.n_features, x.shape)
-        d = np.sqrt(np.sum((self.X - x) ** 2, axis=1))
-        # stable sort: distance ties resolve by exemplar index
-        nearest = np.argsort(d, kind="stable")[: self.k]
-        labels = self.y[nearest]
-        votes = np.bincount(labels, minlength=2)
-        if votes[0] != votes[1]:
-            return int(np.argmax(votes))
-        sums = np.array([np.sum(d[nearest[labels == c]]) for c in (0, 1)])
-        return 0 if sums[0] <= sums[1] else 1
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        return np.array([self.predict(row) for row in np.asarray(X, dtype=np.float64)])
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise LengthMismatch(self.n_features, X.shape)
+        out = np.empty(len(X), dtype=np.int64)
+        for i, x in enumerate(X):
+            d = np.sqrt(np.sum((self.X - x) ** 2, axis=1))
+            # stable sort: distance ties resolve by exemplar index
+            nearest = np.argsort(d, kind="stable")[: self.k]
+            labels = self.y[nearest]
+            votes = np.bincount(labels, minlength=2)
+            if votes[0] != votes[1]:
+                out[i] = np.argmax(votes)
+            else:
+                sums = np.array([np.sum(d[nearest[labels == c]]) for c in (0, 1)])
+                out[i] = 0 if sums[0] <= sums[1] else 1
+        return out
 
     def to_dict(self):
         return {
@@ -59,8 +61,9 @@ class KNNModel:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(X=np.asarray(d["exemplars"]), y=np.asarray(d["labels"]), k=int(d["k"]))
+    def from_dict(cls, d, schema):
+        return cls(X=np.asarray(d["exemplars"]), y=np.asarray(d["labels"]),
+                   k=KNNParams.from_dict(d).k)
 
 
 def knn_fit(ds: Dataset, params: KNNParams = KNNParams()) -> KNNModel:

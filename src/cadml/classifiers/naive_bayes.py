@@ -91,19 +91,28 @@ class NBModel:
 
     def posterior(self, x) -> np.ndarray:
         """P(class | x), non-negative, summing to 1."""
-        logs = self.log_joint(x)
-        if np.all(np.isinf(logs)):
-            return np.array([0.5, 0.5])
-        m = np.max(logs[np.isfinite(logs)])
-        probs = np.where(np.isfinite(logs), np.exp(logs - m), 0.0)
-        return probs / probs.sum()
+        return self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
+
+    def posterior_batch(self, X) -> np.ndarray:
+        """P(class | x) of each row of X, shape (n, 2)."""
+        X = np.asarray(X, dtype=np.float64)
+        out = np.empty((len(X), 2))
+        for i, x in enumerate(X):
+            logs = self.log_joint(x)
+            if np.all(np.isinf(logs)):
+                out[i] = 0.5
+                continue
+            m = np.max(logs[np.isfinite(logs)])
+            probs = np.where(np.isfinite(logs), np.exp(logs - m), 0.0)
+            out[i] = probs / probs.sum()
+        return out
 
     def predict(self, x) -> int:
-        post = self.posterior(x)
-        return 0 if post[0] >= post[1] else 1
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        return np.array([self.predict(row) for row in np.asarray(X, dtype=np.float64)])
+        post = self.posterior_batch(X)
+        return np.where(post[:, 0] >= post[:, 1], 0, 1)
 
     def to_dict(self):
         stats = []
@@ -141,9 +150,8 @@ class NBModel:
                     out.append(_FrequencyStat(values=tuple(s["values"]),
                                               probs=np.asarray(s["probs"])))
             stats.append(out)
-        from .params import params_from_dict
         return cls(schema=schema, priors=np.asarray(d["priors"]),
-                   feature_stats=stats, params=params_from_dict(d["params"]))
+                   feature_stats=stats, params=NBParams.from_dict(d["params"]))
 
 
 def nb_fit(ds: Dataset, params: NBParams = NBParams()) -> NBModel:

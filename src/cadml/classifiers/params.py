@@ -1,11 +1,23 @@
 """Hyperparameter records for the three classifiers."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+
+
+class _Params:
+    """The dict form every record shares: its algorithm name plus its fields."""
+
+    def to_dict(self):
+        return {"algorithm": self.algorithm, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, d):
+        # coerce each field to the type of its default, so a JSON 1 reads as 1.0
+        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
-class NBParams:
+class NBParams(_Params):
     use_kernel_density: bool = False
     laplace: float = 0.0
     bandwidth_adjust: float = 1.0
@@ -18,13 +30,9 @@ class NBParams:
         if self.bandwidth_adjust <= 0:
             raise ValueError("bandwidth_adjust must be > 0")
 
-    def to_dict(self):
-        return {"algorithm": "nb", "use_kernel_density": self.use_kernel_density,
-                "laplace": self.laplace, "bandwidth_adjust": self.bandwidth_adjust}
-
 
 @dataclass(frozen=True)
-class KNNParams:
+class KNNParams(_Params):
     k: int = 5
 
     algorithm = "knn"
@@ -33,12 +41,9 @@ class KNNParams:
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError("k must be an odd positive integer")
 
-    def to_dict(self):
-        return {"algorithm": "knn", "k": self.k}
-
 
 @dataclass(frozen=True)
-class SVMParams:
+class SVMParams(_Params):
     C: float = 0.25
     sigma: float = 0.1268408
 
@@ -48,21 +53,5 @@ class SVMParams:
         if self.C <= 0 or self.sigma <= 0:
             raise ValueError("C and sigma must be > 0")
 
-    def to_dict(self):
-        return {"algorithm": "svm", "C": self.C, "sigma": self.sigma}
-
 
 HyperParams = NBParams | KNNParams | SVMParams
-
-
-def params_from_dict(d) -> HyperParams:
-    algo = d["algorithm"]
-    if algo == "nb":
-        return NBParams(use_kernel_density=bool(d["use_kernel_density"]),
-                        laplace=float(d["laplace"]),
-                        bandwidth_adjust=float(d["bandwidth_adjust"]))
-    if algo == "knn":
-        return KNNParams(k=int(d["k"]))
-    if algo == "svm":
-        return SVMParams(C=float(d["C"]), sigma=float(d["sigma"]))
-    raise ValueError(f"unknown algorithm {algo!r}")

@@ -21,19 +21,16 @@ from .params import SVMParams
 _ALPHA_EPS = 1e-12
 
 
-def rbf_kernel(x, y, sigma: float) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatch(x.shape, y.shape)
-    return float(np.exp(-sigma * np.sum((x - y) ** 2)))
-
-
 def rbf_gram(X, Y, sigma: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    sq = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - 2.0 * X @ Y.T
-    return np.exp(-sigma * np.maximum(sq, 0.0))
+    # one (len(X), len(Y)) buffer, updated in place; the operation order is
+    # |x|^2 + |y|^2 - 2 x.y, clamp at 0, times -sigma, exp
+    out = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :]
+    out -= 2.0 * X @ Y.T
+    np.maximum(out, 0.0, out=out)
+    out *= -sigma
+    return np.exp(out, out=out)
 
 
 def dual_objective(K, y, alpha) -> float:
@@ -190,20 +187,18 @@ class SVMModel:
     def n_features(self) -> int:
         return self.support_vectors.shape[1]
 
-    def decision(self, x) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise LengthMismatch(self.n_features, x.shape)
-        k = rbf_gram(self.support_vectors, x[None, :], self.params.sigma)[:, 0]
-        return float(self.dual_coef @ k + self.bias)
+    def decision(self, X) -> np.ndarray:
+        """f(x) of each row of X."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise LengthMismatch(self.n_features, X.shape)
+        return self.dual_coef @ rbf_gram(self.support_vectors, X, self.params.sigma) + self.bias
 
     def predict(self, x) -> int:
-        return 1 if self.decision(x) > 0.0 else 0
+        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        k = rbf_gram(self.support_vectors, X, self.params.sigma)
-        return (self.dual_coef @ k + self.bias > 0.0).astype(np.int64)
+        return (self.decision(X) > 0.0).astype(np.int64)
 
     def to_dict(self):
         return {
@@ -218,13 +213,12 @@ class SVMModel:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        from .params import params_from_dict
+    def from_dict(cls, d, schema):
         return cls(
             support_vectors=np.asarray(d["support_vectors"]),
             dual_coef=np.asarray(d["dual_coef"]),
             bias=d["bias"],
-            params=params_from_dict(d["params"]),
+            params=SVMParams.from_dict(d["params"]),
             dual_objective_value=d["dual_objective"],
             converged=d["converged"],
         )

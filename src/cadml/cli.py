@@ -15,21 +15,15 @@ import click
 import numpy as np
 
 from . import __version__
-from .classifiers import (
-    KNNParams,
-    NBParams,
-    SVMParams,
-    fit_model,
-    load_model,
-    params_from_dict,
-    save_model,
-)
+from .classifiers import ALGORITHMS, NBParams, load_model, params_from_dict, save_model
 from .dataset import (
     CLEVELAND_SCHEMA,
     SELECTED_FEATURES,
     Dataset,
     drop_incomplete,
+    load_dataset,
     parse_csv,
+    parse_features,
     select_columns,
 )
 from .errors import DataError, TrainingError
@@ -41,24 +35,10 @@ DEFAULT_SEED = 2018
 SUBSET_SEED = 1  # the wrapper-selection step uses its own seed
 DEFAULT_FOLDS = 10
 
-_DEFAULT_PARAMS = {
-    "nb": NBParams(),
-    "knn": KNNParams(k=5),
-    "svm": SVMParams(C=0.25, sigma=0.1268408),
-}
-
-
-def _load_raw(path, header):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_csv(text, CLEVELAND_SCHEMA, header=header)
-
 
 def _load_dataset(path, header, keep) -> Dataset:
-    ds = drop_incomplete(_load_raw(path, header), provenance=str(path))
-    if keep is not None:
-        ds = select_columns(ds, keep)
-    return ds
+    ds = load_dataset(path, header=header)
+    return ds if keep is None else select_columns(ds, keep)
 
 
 def _parse_keep(keep: str | None, default):
@@ -92,9 +72,7 @@ def _emit(payload: dict, text: str, fmt: str, out, csv_text: str | None = None):
 
 
 def _config_dict(**kwargs):
-    cfg = {"tool_version": __version__}
-    cfg.update(kwargs)
-    return cfg
+    return {"tool_version": __version__, **kwargs}
 
 
 data_option = click.option("--data", "data_path", required=True,
@@ -124,7 +102,8 @@ def cli():
 @out_option
 def inspect(data_path, header, fmt, out):
     """Summarize the dataset: rows parsed/dropped/kept, ranges, class balance."""
-    raw = _load_raw(data_path, header)
+    with open(data_path, "r", encoding="utf-8") as fh:
+        raw = parse_csv(fh.read(), CLEVELAND_SCHEMA, header=header)
     ds = drop_incomplete(raw, provenance=str(data_path))
     neg, pos = ds.class_counts()
     features = []
@@ -208,7 +187,7 @@ def subset(data_path, header, folds, seed, stale_limit, min_improvement, fmt, ou
 
 def _algorithm_options(fn):
     fn = click.option("--algorithm", default="nb", show_default=True,
-                      type=click.Choice(["nb", "knn", "svm"]))(fn)
+                      type=click.Choice(list(ALGORITHMS)))(fn)
     fn = click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)(fn)
     fn = click.option("--no-scale", is_flag=True, default=False,
                       help="Disable z-scoring of continuous features.")(fn)
@@ -252,7 +231,7 @@ def cv(data_path, header, keep, folds, algorithm, seed, no_scale, fmt, out):
     keep_names = _parse_keep(keep, SELECTED_FEATURES)
     ds = _load_dataset(data_path, header, keep_names)
     scaling = default_scaling(algorithm) and not no_scale
-    result = cross_validate(ds, _DEFAULT_PARAMS[algorithm], folds, seed, scaling=scaling)
+    result = cross_validate(ds, ALGORITHMS[algorithm].params(), folds, seed, scaling=scaling)
     payload = {
         "config": _config_dict(command="cv", data=str(data_path), header=header,
                                keep=list(keep_names) if keep_names else "all",
@@ -266,9 +245,11 @@ def cv(data_path, header, keep, folds, algorithm, seed, no_scale, fmt, out):
 def _parse_grid(grid_json: str | None, algorithm: str) -> Grid:
     if grid_json is None:
         return default_grids()[algorithm]
-    spec = json.loads(grid_json)
-    candidates = tuple(params_from_dict(d) for d in spec)
-    return Grid(algorithm=candidates[0].algorithm, candidates=candidates)
+    try:
+        candidates = tuple(params_from_dict(d) for d in json.loads(grid_json))
+        return Grid(algorithm=candidates[0].algorithm, candidates=candidates)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise click.BadParameter(repr(exc), param_hint="--grid") from None
 
 
 @cli.command()
@@ -324,7 +305,7 @@ def compare(data_path, header, keep, folds, seed, no_scale, fmt, out):
     """Tune all three algorithms on identical folds and compare their winners."""
     keep_names = _parse_keep(keep, SELECTED_FEATURES)
     ds = _load_dataset(data_path, header, keep_names)
-    overrides = {a: False for a in ("nb", "knn", "svm")} if no_scale else None
+    overrides = {a: False for a in ALGORITHMS} if no_scale else None
     report = compare_models(ds, folds, seed, scaling_overrides=overrides)
     payload = {
         "config": _config_dict(command="compare", data=str(data_path), header=header,
@@ -334,16 +315,15 @@ def compare(data_path, header, keep, folds, seed, no_scale, fmt, out):
     }
     d = report.to_dict()
     lines = [f"{'model':<6}{'accuracy':>10}{'recall':>10}{'specificity':>13}{'precision':>11}"]
-    for algo in ("nb", "knn", "svm"):
-        row = d["models"][algo]
+    for algo, row in d["models"].items():
         lines.append(f"{algo:<6}{_fmt(row['accuracy']):>10}{_fmt(row['recall']):>10}"
                      f"{_fmt(row['specificity']):>13}{_fmt(row['precision']):>11}")
     lines.append("best per metric: " + ", ".join(
         f"{m}={a}" for m, a in sorted(d["best_per_metric"].items())))
     csv_text = "model,accuracy,recall,specificity,precision\n" + "".join(
-        f"{algo},{_fmt(d['models'][algo]['accuracy'])},{_fmt(d['models'][algo]['recall'])},"
-        f"{_fmt(d['models'][algo]['specificity'])},{_fmt(d['models'][algo]['precision'])}\n"
-        for algo in ("nb", "knn", "svm"))
+        f"{algo},{_fmt(row['accuracy'])},{_fmt(row['recall'])},"
+        f"{_fmt(row['specificity'])},{_fmt(row['precision'])}\n"
+        for algo, row in d["models"].items())
     _emit(payload, "\n".join(lines) + "\n", fmt, out, csv_text)
 
 
@@ -360,31 +340,19 @@ def compare(data_path, header, keep, folds, seed, no_scale, fmt, out):
 def predict(model_path, records, data_path, fmt, out):
     """Predict labels (and posteriors, for naive Bayes) for new records."""
     fitted = load_model(model_path)
-    n = len(fitted.schema)
-    rows = []
-    for rec in records:
-        fields = [f.strip() for f in rec.split(",")]
-        if len(fields) != n:
-            raise DataError(f"record has {len(fields)} fields, model expects {n}")
-        rows.append([float(f) for f in fields])
+    text = "".join(rec + "\n" for rec in records)
     if data_path:
         with open(data_path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                fields = line.split(",")
-                if len(fields) != n:
-                    raise DataError(f"line {line_no}: {len(fields)} fields, model expects {n}")
-                rows.append([float(f) for f in fields])
-    if not rows:
+            text += fh.read()
+    X = parse_features(text, fitted.schema)
+    if len(X) == 0:
         raise click.UsageError("no records given; use --record or --data")
-    results = []
-    for row in rows:
-        entry = {"features": row, "label": fitted.predict(row)}
-        post = fitted.posterior(row)
-        if post is not None:
-            entry["posterior"] = [float(p) for p in post]
-        results.append(entry)
+    labels = fitted.predict_batch(X)
+    posteriors = fitted.posterior_batch(X)
+    results = [{"features": row.tolist(), "label": int(label)} for row, label in zip(X, labels)]
+    if posteriors is not None:
+        for entry, post in zip(results, posteriors):
+            entry["posterior"] = post.tolist()
     payload = {
         "config": _config_dict(command="predict", model=str(model_path),
                                algorithm=fitted.algorithm),
@@ -414,10 +382,7 @@ def main(argv=None):
         sys.exit(1)
     except click.exceptions.Abort:
         sys.exit(1)
-    except DataError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(2)
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         click.echo(f"data error: {exc}", err=True)
         sys.exit(2)
     except TrainingError as exc:

@@ -6,12 +6,13 @@ cell. A header variant is accepted where the first line names the columns.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
+    DataError,
+    DisallowedValue,
     EmptyDataset,
     LengthMismatch,
     NonNumericCell,
@@ -61,12 +62,6 @@ REMOVED_FEATURES = ("Age", "Sex", "Chol", "fbs", "Restbp", "RestECG")
 
 
 @dataclass(frozen=True)
-class Record:
-    features: np.ndarray
-    label: int
-
-
-@dataclass(frozen=True)
 class RawTable:
     """Parsed but uncleaned rows; cells may be None (missing), targets raw 0..4."""
 
@@ -102,10 +97,6 @@ class Dataset:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.schema)
 
-    def rows(self):
-        for i in range(self.n_rows):
-            yield Record(self.X[i], int(self.y[i]))
-
     def class_counts(self) -> tuple[int, int]:
         return int(np.sum(self.y == 0)), int(np.sum(self.y == 1))
 
@@ -119,9 +110,12 @@ def _parse_cell(token: str, line_no: int, column: int) -> float | None:
     if token == "?":
         return None
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise NonNumericCell(line_no, column, token) from None
+    if not np.isfinite(value):
+        raise NonNumericCell(line_no, column, token)
+    return value
 
 
 def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
@@ -162,6 +156,28 @@ def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
     return RawTable(schema=tuple(schema), cells=tuple(rows), targets=tuple(targets))
 
 
+def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
+    """Parse rows of feature values without a target column, in schema order.
+
+    Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
+    is an error; returns a (rows, len(schema)) array.
+    """
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(schema):
+            raise WrongFieldCount(line_no, len(schema), len(fields))
+        cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
+        if None in cells:
+            raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
+        rows.append(cells)
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    _validate_values(schema, X)
+    return X
+
+
 def _check_raw_target(value: float) -> int:
     if value not in (0.0, 1.0, 2.0, 3.0, 4.0):
         raise OutOfRangeTarget(value)
@@ -197,7 +213,7 @@ def _validate_values(schema, X):
         bad = ~np.isin(X[:, j], feat.allowed_values)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise NonNumericCell(i + 1, j, X[i, j])
+            raise DisallowedValue(i + 1, feat, float(X[i, j]))
 
 
 def load_dataset(path, schema=CLEVELAND_SCHEMA, header: bool = False) -> Dataset:
@@ -232,9 +248,6 @@ class Standardization:
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) / self.std
 
-    def invert(self, X: np.ndarray) -> np.ndarray:
-        return X * self.std + self.mean
-
 
 def fit_standardization(ds: Dataset) -> Standardization:
     """Z-score stats for continuous features (sample stddev, ddof=1).
@@ -264,30 +277,3 @@ def standardize(ds: Dataset, stats: Standardization | None = None):
         raise LengthMismatch(len(ds.schema), len(stats.mean))
     return replace(ds, X=stats.apply(ds.X)), stats
 
-
-def to_json(ds: Dataset) -> str:
-    """Canonical JSON serialization (schema + rows), stable across runs."""
-    payload = {
-        "schema": [
-            {"name": f.name, "kind": f.kind,
-             "allowed_values": list(f.allowed_values) if f.allowed_values else None}
-            for f in ds.schema
-        ],
-        "rows": [{"features": list(map(float, r.features)), "label": r.label} for r in ds.rows()],
-        "provenance": ds.provenance,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def from_json(text: str) -> Dataset:
-    payload = json.loads(text)
-    schema = tuple(
-        FeatureSchema(
-            name=f["name"], kind=f["kind"],
-            allowed_values=tuple(f["allowed_values"]) if f["allowed_values"] else None,
-        )
-        for f in payload["schema"]
-    )
-    X = np.asarray([r["features"] for r in payload["rows"]], dtype=np.float64)
-    y = np.asarray([r["label"] for r in payload["rows"]], dtype=np.int64)
-    return Dataset(schema=schema, X=X, y=y, provenance=payload.get("provenance", ""))

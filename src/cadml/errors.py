@@ -31,7 +31,17 @@ class NonNumericCell(DataError):
         self.line_no = line_no
         self.column = column
         self.value = value
-        super().__init__(f"line {line_no}, column {column}: {value!r} is neither '?' nor a number")
+        super().__init__(f"line {line_no}, column {column}: {value!r} "
+                         "is neither '?' nor a finite number")
+
+
+class DisallowedValue(DataError):
+    def __init__(self, row, feature, value):
+        self.row = row
+        self.feature = feature
+        self.value = value
+        super().__init__(f"row {row}: {feature.name} value {value!r} is not one of "
+                         f"{feature.allowed_values}")
 
 
 class OutOfRangeTarget(DataError):

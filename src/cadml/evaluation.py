@@ -8,7 +8,6 @@ identical inputs and seed always give the identical partition.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ class FoldAssignment:
 
     def train_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of_row != fold)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.fold_of_row.astype(np.int64).tobytes()).hexdigest()
 
 
 def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import (
+    ALGORITHMS,
     FittedModel,
     HyperParams,
     KNNParams,
@@ -57,7 +58,6 @@ class TuneResult:
     best: HyperParams
     best_cv: CVResult
     final_model: FittedModel
-    folds: FoldAssignment
 
     def to_dict(self):
         return {
@@ -75,7 +75,6 @@ def grid_search(ds: Dataset, grid: Grid, k: int, seed: int,
         scaling = default_scaling(grid.algorithm)
     if folds is None:
         folds = stratified_folds(ds.y, k, seed)
-    fingerprint = folds.fingerprint()
     per_candidate = []
     results = []
     errors = []
@@ -85,7 +84,6 @@ def grid_search(ds: Dataset, grid: Grid, k: int, seed: int,
         except TrainingError as exc:
             errors.append((params, exc))
             continue
-        assert cv.folds.fingerprint() == fingerprint
         per_candidate.append((params, cv.mean_accuracy))
         results.append(cv)
     if not per_candidate:
@@ -94,10 +92,7 @@ def grid_search(ds: Dataset, grid: Grid, k: int, seed: int,
     best, _ = per_candidate[best_idx]
     final_model = fit_model(ds, best, scaling=scaling)
     return TuneResult(per_candidate=tuple(per_candidate), best=best,
-                      best_cv=results[best_idx], final_model=final_model, folds=folds)
-
-
-ALGORITHMS = ("nb", "knn", "svm")
+                      best_cv=results[best_idx], final_model=final_model)
 
 
 @dataclass(frozen=True)

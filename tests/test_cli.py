@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cadml import __version__
-from cadml.classifiers import NBParams, fit_model, save_model
+from cadml.classifiers import ALGORITHMS, NBParams, fit_model, save_model
 from cadml.cli import main
 from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
+from cadml.tuning import default_scaling
 
 from conftest import DATA_PATH
 
@@ -135,10 +136,58 @@ def test_predict_wrong_record_length(tmp_path):
                     "--record", "1,2,3"]) == 2
 
 
+GOOD_RECORD = "1,150,1,2.3,2,0,7"  # the 7-feature view, Cp first
+
+
+@pytest.mark.parametrize("record,edit_model", [
+    ("x,150,1,2.3,2,0,7", None),
+    ("?,150,1,2.3,2,0,7", None),
+    ("nan,150,1,2.3,2,0,7", None),
+    ("1,inf,1,2.3,2,0,7", None),
+    ("5,150,1,2.3,2,0,7", None),  # Cp outside 1..4
+    (GOOD_RECORD, lambda text: '{"format_version": 1}'),
+    (GOOD_RECORD, lambda text: text.replace('"format_version": 1', '"format_version": 2')),
+    (GOOD_RECORD, lambda text: "[]"),
+    (GOOD_RECORD, lambda text: text[:-10]),  # truncated JSON
+    (GOOD_RECORD, lambda text: text.replace('"algorithm": "nb"', '"algorithm": "forest"')),
+], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
+        "not-a-dict", "truncated", "unknown-algorithm"])
+def test_predict_bad_input_is_data_error(tmp_path, capsys, record, edit_model):
+    model_path = tmp_path / "model.json"
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    save_model(fit_model(ds, NBParams()), model_path)
+    if edit_model is not None:
+        model_path.write_text(edit_model(model_path.read_text()))
+    assert run_cli(["predict", "--model", str(model_path), "--record", record]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_predict_data_matches_predict_batch(tmp_path, algorithm):
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    fitted = fit_model(ds, ALGORITHMS[algorithm].params(), scaling=default_scaling(algorithm))
+    model_path, rows_path, out = tmp_path / "model.json", tmp_path / "rows.csv", tmp_path / "p.json"
+    save_model(fitted, model_path)
+    rows_path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in ds.X))
+    assert run_cli(["predict", "--model", str(model_path), "--data", str(rows_path),
+                    "--format", "json", "--out", str(out)]) == 0
+    predictions = read_json(out)["report"]["predictions"]
+    expected = fitted.predict_batch(ds.X)
+    assert [p["label"] for p in predictions] == expected.tolist()
+    for x, label in zip(ds.X[:20], expected):
+        assert fitted.predict(x) == label
+    if algorithm == "nb":
+        assert [p["posterior"] for p in predictions] == fitted.posterior_batch(ds.X).tolist()
+
+
 def test_exit_code_usage_error():
     assert run_cli(["cv"]) == 1  # --data is required
     assert run_cli(["cv", "--data", DATA_PATH, "--algorithm", "forest"]) == 1
     assert run_cli(["nonsense"]) == 1
+    for grid in ("[", "[]", '[{"algorithm": "forest"}]', '[{"algorithm": "knn"}]',
+                 '[{"algorithm": "knn", "k": 3}, {"algorithm": "nb"}]'):
+        assert run_cli(["tune", "--data", DATA_PATH, "--grid", grid]) == 1
 
 
 def test_exit_code_missing_file():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import KNNParams, knn_fit
-from cadml.classifiers.knn import KNNModel, euclidean_distance
-from cadml.errors import LengthMismatch, TooFewRows
+from cadml.classifiers.knn import KNNModel
+from cadml.errors import TooFewRows
 
 from conftest import make_dataset
 
@@ -21,12 +21,6 @@ def oracle_predict(X, y, k, q):
     if votes[0] != votes[1]:
         return 0 if votes[0] > votes[1] else 1
     return 0 if sums[0] <= sums[1] else 1
-
-
-def test_euclidean_known_value():
-    assert euclidean_distance([1.0, 2.0, 3.0], [4.0, 6.0, 3.0]) == 5.0
-    with pytest.raises(LengthMismatch):
-        euclidean_distance([1.0], [1.0, 2.0])
 
 
 def test_simple_majority():
@@ -101,6 +95,6 @@ def test_serialization_roundtrip():
     X = rng.normal(size=(15, 2))
     y = rng.integers(0, 2, 15)
     model = KNNModel(X, y, 5)
-    clone = KNNModel.from_dict(model.to_dict())
+    clone = KNNModel.from_dict(model.to_dict(), None)
     q = rng.normal(size=(20, 2))
     assert np.array_equal(clone.predict_batch(q), model.predict_batch(q))

@@ -65,7 +65,7 @@ def test_grid_search_all_candidates_failed():
 def test_grid_search_shared_folds(tiny_separable):
     r1 = grid_search(tiny_separable, default_grids()["knn"], 4, seed=9)
     r2 = grid_search(tiny_separable, default_grids()["nb"], 4, seed=9)
-    assert r1.folds.fingerprint() == r2.folds.fingerprint()
+    assert np.array_equal(r1.best_cv.folds.fold_of_row, r2.best_cv.folds.fold_of_row)
 
 
 def test_compare_models_shape(tiny_separable):
