@@ -16,7 +16,7 @@ from ..dataset import Dataset, FeatureSchema, Standardization, standardize
 from ..errors import DataError, LengthMismatch
 from .knn import KNNModel, knn_fit
 from .naive_bayes import NBModel, nb_fit
-from .params import HyperParams, KNNParams, NBParams, SVMParams
+from .params import HyperParams, KNNParams, NBParams, SVMParams, as_shaped
 from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, svm_fit
 
 __all__ = [
@@ -101,9 +101,9 @@ class FittedModel:
         md = d["model"]
         model = ALGORITHMS[md["algorithm"]].model.from_dict(md, schema)
         scaling = None
-        if d.get("scaling") is not None:
-            scaling = Standardization(mean=np.asarray(d["scaling"]["mean"]),
-                                      std=np.asarray(d["scaling"]["std"]))
+        if (sd := d.get("scaling")) is not None:
+            scaling = Standardization(mean=as_shaped(sd["mean"], (len(schema),), "scaling.mean"),
+                                      std=as_shaped(sd["std"], (len(schema),), "scaling.std"))
         return cls(model=model, schema=schema, scaling=scaling)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import LengthMismatch, TooFewRows
-from .params import KNNParams
+from .params import KNNParams, as_shaped
 
 
 class KNNModel:
@@ -62,7 +62,10 @@ class KNNModel:
 
     @classmethod
     def from_dict(cls, d, schema):
-        return cls(X=np.asarray(d["exemplars"]), y=np.asarray(d["labels"]),
+        y = np.asarray(d["labels"])
+        if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+            raise ValueError("labels must be a list of 0s and 1s")
+        return cls(X=as_shaped(d["exemplars"], (len(y), len(schema)), "exemplars"), y=y,
                    k=KNNParams.from_dict(d).k)
 
 

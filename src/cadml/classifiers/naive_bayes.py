@@ -13,7 +13,7 @@ import numpy as np
 
 from ..dataset import CONTINUOUS, Dataset
 from ..errors import LengthMismatch, SingleClassData, TooFewRows
-from .params import NBParams
+from .params import NBParams, as_shaped
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -38,17 +38,73 @@ class _GaussianStat:
     mean: float
     var: float
 
+    def log_likelihood(self, column: np.ndarray) -> np.ndarray:
+        # libm pow, like ** on a Python float: x * x differs in the last bit
+        # on about 1 input in 1200, and the tests pin these scores bit for bit
+        return -_LOG_SQRT_2PI - 0.5 * math.log(self.var) \
+            - 0.5 * np.float_power(column - self.mean, 2.0) / self.var
+
+    def to_dict(self):
+        return {"type": "gaussian", "mean": self.mean, "var": self.var}
+
+    @classmethod
+    def from_dict(cls, s):
+        return cls(mean=s["mean"], var=s["var"])
+
 
 @dataclass(frozen=True)
 class _KDEStat:
     samples: np.ndarray
     bandwidth: float
 
+    def log_likelihood(self, column: np.ndarray) -> np.ndarray:
+        h = self.bandwidth
+        z = (column[:, None] - self.samples) / h
+        logs = -_LOG_SQRT_2PI - math.log(h) - 0.5 * z * z
+        m = np.max(logs, axis=1)
+        sums = np.sum(np.exp(logs - m[:, None]), axis=1)
+        # math.log, not np.log, which differs in the last bit on about 1
+        # input in 6400 (see the Gaussian square above)
+        return m + np.array([math.log(s) for s in sums]) - math.log(len(self.samples))
+
+    def to_dict(self):
+        return {"type": "kde", "samples": [float(v) for v in self.samples],
+                "bandwidth": self.bandwidth}
+
+    @classmethod
+    def from_dict(cls, s):
+        samples = np.asarray(s["samples"], dtype=np.float64)
+        if samples.ndim != 1 or len(samples) == 0:
+            raise ValueError(f"kde samples have shape {samples.shape}")
+        return cls(samples=samples, bandwidth=s["bandwidth"])
+
 
 @dataclass(frozen=True)
 class _FrequencyStat:
     values: tuple[float, ...]
     probs: np.ndarray  # aligned with values
+
+    def log_likelihood(self, column: np.ndarray) -> np.ndarray:
+        # one log-probability per value, then -inf for a value the table lacks;
+        # unseen value without smoothing has probability 0
+        logp = np.array([math.log(p) if p > 0 else -math.inf for p in self.probs]
+                        + [-math.inf])
+        hit = column[:, None] == np.asarray(self.values)
+        return logp[np.where(hit.any(axis=1), hit.argmax(axis=1), len(self.values))]
+
+    def to_dict(self):
+        return {"type": "frequency", "values": list(self.values),
+                "probs": [float(p) for p in self.probs]}
+
+    @classmethod
+    def from_dict(cls, s):
+        values = tuple(s["values"])
+        if not values:
+            raise ValueError("frequency table without values")
+        return cls(values=values, probs=as_shaped(s["probs"], (len(values),), "probs"))
+
+
+_STATS = {"gaussian": _GaussianStat, "kde": _KDEStat, "frequency": _FrequencyStat}
 
 
 class NBModel:
@@ -62,31 +118,15 @@ class NBModel:
     def n_features(self) -> int:
         return len(self.schema)
 
-    def _log_likelihood(self, stat, value: float) -> float:
-        if isinstance(stat, _GaussianStat):
-            return -_LOG_SQRT_2PI - 0.5 * math.log(stat.var) \
-                - 0.5 * (value - stat.mean) ** 2 / stat.var
-        if isinstance(stat, _KDEStat):
-            h = stat.bandwidth
-            z = (value - stat.samples) / h
-            logs = -_LOG_SQRT_2PI - math.log(h) - 0.5 * z * z
-            m = float(np.max(logs))
-            return m + math.log(float(np.sum(np.exp(logs - m)))) - math.log(len(stat.samples))
-        # frequency table; unseen value without smoothing has probability 0
-        try:
-            p = float(stat.probs[stat.values.index(value)])
-        except ValueError:
-            p = 0.0
-        return math.log(p) if p > 0 else -math.inf
-
-    def log_joint(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_features,):
-            raise LengthMismatch(self.n_features, x.shape)
-        out = np.log(self.priors).astype(np.float64)
+    def log_joint(self, X) -> np.ndarray:
+        """log P(class) + sum of the feature log-likelihoods, shape (n, 2)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise LengthMismatch(self.n_features, X.shape)
+        out = np.tile(np.log(self.priors), (len(X), 1))
         for c in (0, 1):
-            for j in range(self.n_features):
-                out[c] += self._log_likelihood(self.feature_stats[c][j], float(x[j]))
+            for j, stat in enumerate(self.feature_stats[c]):
+                out[:, c] += stat.log_likelihood(X[:, j])
         return out
 
     def posterior(self, x) -> np.ndarray:
@@ -94,18 +134,15 @@ class NBModel:
         return self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def posterior_batch(self, X) -> np.ndarray:
-        """P(class | x) of each row of X, shape (n, 2)."""
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty((len(X), 2))
-        for i, x in enumerate(X):
-            logs = self.log_joint(x)
-            if np.all(np.isinf(logs)):
-                out[i] = 0.5
-                continue
-            m = np.max(logs[np.isfinite(logs)])
-            probs = np.where(np.isfinite(logs), np.exp(logs - m), 0.0)
-            out[i] = probs / probs.sum()
-        return out
+        """P(class | x) of each row of X, shape (n, 2); renormalized over the
+        finite log-joints, uniform for a row with none."""
+        logs = self.log_joint(X)
+        finite = np.isfinite(logs)
+        none = ~finite.any(axis=1)
+        logs[none], finite[none] = 0.0, True
+        m = np.max(logs, axis=1, where=finite, initial=-np.inf, keepdims=True)
+        probs = np.where(finite, np.exp(logs - m), 0.0)
+        return probs / probs.sum(axis=1, keepdims=True)
 
     def predict(self, x) -> int:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -115,42 +152,20 @@ class NBModel:
         return np.where(post[:, 0] >= post[:, 1], 0, 1)
 
     def to_dict(self):
-        stats = []
-        for c in (0, 1):
-            row = []
-            for stat in self.feature_stats[c]:
-                if isinstance(stat, _GaussianStat):
-                    row.append({"type": "gaussian", "mean": stat.mean, "var": stat.var})
-                elif isinstance(stat, _KDEStat):
-                    row.append({"type": "kde", "samples": [float(v) for v in stat.samples],
-                                "bandwidth": stat.bandwidth})
-                else:
-                    row.append({"type": "frequency", "values": list(stat.values),
-                                "probs": [float(p) for p in stat.probs]})
-            stats.append(row)
         return {
             "algorithm": "nb",
             "version": 1,
             "params": self.params.to_dict(),
             "priors": [float(p) for p in self.priors],
-            "feature_stats": stats,
+            "feature_stats": [[stat.to_dict() for stat in row] for row in self.feature_stats],
         }
 
     @classmethod
     def from_dict(cls, d, schema):
-        stats = []
-        for row in d["feature_stats"]:
-            out = []
-            for s in row:
-                if s["type"] == "gaussian":
-                    out.append(_GaussianStat(mean=s["mean"], var=s["var"]))
-                elif s["type"] == "kde":
-                    out.append(_KDEStat(samples=np.asarray(s["samples"]), bandwidth=s["bandwidth"]))
-                else:
-                    out.append(_FrequencyStat(values=tuple(s["values"]),
-                                              probs=np.asarray(s["probs"])))
-            stats.append(out)
-        return cls(schema=schema, priors=np.asarray(d["priors"]),
+        stats = [[_STATS[s["type"]].from_dict(s) for s in row] for row in d["feature_stats"]]
+        if len(stats) != 2 or any(len(row) != len(schema) for row in stats):
+            raise ValueError(f"feature_stats is not 2 x {len(schema)}")
+        return cls(schema=schema, priors=as_shaped(d["priors"], (2,), "priors"),
                    feature_stats=stats, params=NBParams.from_dict(d["params"]))
 
 

@@ -1,7 +1,10 @@
-"""Hyperparameter records for the three classifiers."""
+"""Hyperparameter records for the three classifiers, and the shape check
+that their models apply to the arrays of a model file."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 
 class _Params:
@@ -55,3 +58,11 @@ class SVMParams(_Params):
 
 
 HyperParams = NBParams | KNNParams | SVMParams
+
+
+def as_shaped(value, shape, name) -> np.ndarray:
+    """value from a model file as a float64 array of the given shape."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array

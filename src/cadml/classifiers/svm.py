@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import LengthMismatch, SingleClassData
-from .params import SVMParams
+from .params import SVMParams, as_shaped
 
 _ALPHA_EPS = 1e-12
 
@@ -214,9 +214,13 @@ class SVMModel:
 
     @classmethod
     def from_dict(cls, d, schema):
+        dual_coef = np.asarray(d["dual_coef"], dtype=np.float64)
+        if dual_coef.ndim != 1:
+            raise ValueError(f"dual_coef has shape {dual_coef.shape}")
         return cls(
-            support_vectors=np.asarray(d["support_vectors"]),
-            dual_coef=np.asarray(d["dual_coef"]),
+            support_vectors=as_shaped(d["support_vectors"], (len(dual_coef), len(schema)),
+                                      "support_vectors"),
+            dual_coef=dual_coef,
             bias=d["bias"],
             params=SVMParams.from_dict(d["params"]),
             dual_objective_value=d["dual_objective"],

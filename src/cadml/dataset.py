@@ -139,9 +139,14 @@ def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
             raise WrongFieldCount(line_no, n_fields, len(fields))
         if not saw_header:
             names = [f.strip() for f in fields[:-1]]
-            by_name = {f.name: j for j, f in enumerate(schema)}
-            if set(names) != set(by_name):
-                raise UnknownFeature(", ".join(sorted(set(names) - set(by_name))))
+            unknown = sorted(set(names) - {f.name for f in schema})
+            if unknown:
+                raise UnknownFeature(", ".join(unknown))
+            missing = [f.name for f in schema if f.name not in names]
+            if missing:  # as many columns as features, so some name repeats
+                repeated = sorted({n for n in names if names.count(n) > 1})
+                raise DataError(f"line {line_no}: header repeats {', '.join(repeated)} "
+                                f"and lacks {', '.join(missing)}")
             # order[j] = position in the file of schema column j
             order = [names.index(f.name) for f in schema]
             saw_header = True

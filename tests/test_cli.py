@@ -139,28 +139,62 @@ def test_predict_wrong_record_length(tmp_path):
 GOOD_RECORD = "1,150,1,2.3,2,0,7"  # the 7-feature view, Cp first
 
 
-@pytest.mark.parametrize("record,edit_model", [
-    ("x,150,1,2.3,2,0,7", None),
-    ("?,150,1,2.3,2,0,7", None),
-    ("nan,150,1,2.3,2,0,7", None),
-    ("1,inf,1,2.3,2,0,7", None),
-    ("5,150,1,2.3,2,0,7", None),  # Cp outside 1..4
-    (GOOD_RECORD, lambda text: '{"format_version": 1}'),
-    (GOOD_RECORD, lambda text: text.replace('"format_version": 1', '"format_version": 2')),
-    (GOOD_RECORD, lambda text: "[]"),
-    (GOOD_RECORD, lambda text: text[:-10]),  # truncated JSON
-    (GOOD_RECORD, lambda text: text.replace('"algorithm": "nb"', '"algorithm": "forest"')),
+def edit_json(change):
+    """A model-file edit that applies change to the parsed model in place."""
+    def edit(text):
+        d = json.loads(text)
+        change(d)
+        return json.dumps(d)
+    return edit
+
+
+def cut_exemplar_rows(d):
+    for row in d["model"]["exemplars"]:
+        row.pop()
+
+
+def first_label_two(d):
+    d["model"]["labels"][0] = 2
+
+
+@pytest.mark.parametrize("record,algorithm,edit_model", [
+    ("x,150,1,2.3,2,0,7", "nb", None),
+    ("?,150,1,2.3,2,0,7", "nb", None),
+    ("nan,150,1,2.3,2,0,7", "nb", None),
+    ("1,inf,1,2.3,2,0,7", "nb", None),
+    ("5,150,1,2.3,2,0,7", "nb", None),  # Cp outside 1..4
+    (GOOD_RECORD, "nb", lambda text: '{"format_version": 1}'),
+    (GOOD_RECORD, "nb", lambda text: text.replace('"format_version": 1', '"format_version": 2')),
+    (GOOD_RECORD, "nb", lambda text: "[]"),
+    (GOOD_RECORD, "nb", lambda text: text[:-10]),  # truncated JSON
+    (GOOD_RECORD, "nb", lambda text: text.replace('"algorithm": "nb"', '"algorithm": "forest"')),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["feature_stats"][1].pop())),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["priors"].pop())),
+    # feature_stats[0][0] is the frequency table of Cp
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["feature_stats"][0][0]["probs"].pop())),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["feature_stats"][0][0].update(
+        values=[], probs=[]))),
+    (GOOD_RECORD, "knn", edit_json(lambda d: d["scaling"]["mean"].pop())),
+    (GOOD_RECORD, "knn", edit_json(lambda d: d["model"]["labels"].pop())),
+    (GOOD_RECORD, "knn", edit_json(first_label_two)),
+    (GOOD_RECORD, "knn", edit_json(cut_exemplar_rows)),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["dual_coef"].pop())),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
-        "not-a-dict", "truncated", "unknown-algorithm"])
-def test_predict_bad_input_is_data_error(tmp_path, capsys, record, edit_model):
+        "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
+        "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
+        "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut"])
+def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
-    save_model(fit_model(ds, NBParams()), model_path)
+    save_model(fit_model(ds, ALGORITHMS[algorithm].params(),
+                         scaling=default_scaling(algorithm)), model_path)
     if edit_model is not None:
         model_path.write_text(edit_model(model_path.read_text()))
     assert run_cli(["predict", "--model", str(model_path), "--record", record]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+    # a bad model file is reported at load, not when the model is applied
+    assert ("is not a cadml model" in err) == (edit_model is not None)
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))

@@ -85,6 +85,13 @@ def test_header_unknown_feature():
         parse_csv(header + "\n" + GOOD_LINE + "\n", header=True)
 
 
+def test_header_repeated_feature():
+    names = [f.name for f in CLEVELAND_SCHEMA]
+    header = ",".join(["Age", "Age"] + names[2:]) + ",target"
+    with pytest.raises(DataError, match="header repeats Age and lacks Sex"):
+        parse_csv(header + "\n" + GOOD_LINE + "\n", header=True)
+
+
 def test_binarize_target():
     assert binarize_target(0) == 0
     for v in (1, 2, 3, 4):

@@ -6,7 +6,7 @@ from cadml.classifiers import KNNParams, knn_fit
 from cadml.classifiers.knn import KNNModel
 from cadml.errors import TooFewRows
 
-from conftest import make_dataset
+from conftest import continuous_schema, make_dataset
 
 
 def oracle_predict(X, y, k, q):
@@ -95,6 +95,6 @@ def test_serialization_roundtrip():
     X = rng.normal(size=(15, 2))
     y = rng.integers(0, 2, 15)
     model = KNNModel(X, y, 5)
-    clone = KNNModel.from_dict(model.to_dict(), None)
+    clone = KNNModel.from_dict(model.to_dict(), continuous_schema(2))
     q = rng.normal(size=(20, 2))
     assert np.array_equal(clone.predict_batch(q), model.predict_batch(q))

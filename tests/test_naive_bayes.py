@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import NBParams, nb_fit
-from cadml.classifiers.naive_bayes import NBModel
-from cadml.dataset import BINARY, CATEGORICAL, CONTINUOUS, FeatureSchema
+from cadml.classifiers.naive_bayes import NBModel, _GaussianStat, _KDEStat
+from cadml.dataset import (
+    BINARY, CATEGORICAL, CONTINUOUS, SELECTED_FEATURES, FeatureSchema, select_columns,
+)
 from cadml.errors import LengthMismatch, SingleClassData, TooFewRows
 
 from conftest import make_dataset
@@ -75,6 +79,11 @@ def test_all_zero_likelihood_gives_uniform():
     post = model.posterior(np.array([3.0]))  # unseen by both classes
     assert np.array_equal(post, [0.5, 0.5])
     assert model.predict(np.array([3.0])) == 0
+    # in a batch, such a row leaves the rows around it alone
+    X = np.array([[3.0], [2.0], [3.0], [1.0]])
+    assert np.array_equal(model.posterior_batch(X),
+                          [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    assert model.predict_batch(X).tolist() == [0, 1, 0, 0]
 
 
 def test_kde_mode_tracks_bimodal_class():
@@ -123,6 +132,10 @@ def test_fit_validations():
 def test_wrong_query_length(gaussian_model):
     with pytest.raises(LengthMismatch):
         gaussian_model.posterior(np.array([1.0, 2.0, 3.0]))
+    assert gaussian_model.log_joint(np.zeros((3, 2))).shape == (3, 2)
+    for X in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(2)):
+        with pytest.raises(LengthMismatch):
+            gaussian_model.log_joint(X)
 
 
 def test_serialization_roundtrip():
@@ -138,3 +151,55 @@ def test_serialization_roundtrip():
         q = np.array([0.3, 1.0])
         assert np.array_equal(clone.posterior(q), model.posterior(q))
         assert clone.params == model.params
+
+
+def scalar_log_likelihood(stat, value: float) -> float:
+    """The per-value likelihood naive Bayes used before it scored whole columns."""
+    if isinstance(stat, _GaussianStat):
+        return -0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(stat.var) \
+            - 0.5 * (value - stat.mean) ** 2 / stat.var
+    if isinstance(stat, _KDEStat):
+        h = stat.bandwidth
+        z = (value - stat.samples) / h
+        logs = -0.5 * math.log(2.0 * math.pi) - math.log(h) - 0.5 * z * z
+        m = float(np.max(logs))
+        return m + math.log(float(np.sum(np.exp(logs - m)))) - math.log(len(stat.samples))
+    # frequency table; unseen value without smoothing has probability 0
+    try:
+        p = float(stat.probs[stat.values.index(value)])
+    except ValueError:
+        p = 0.0
+    return math.log(p) if p > 0 else -math.inf
+
+
+def oracle_log_joint(model, X) -> np.ndarray:
+    """log P(class) plus the scalar likelihoods, one row and one feature at a time."""
+    out = np.empty((len(X), 2))
+    for i, x in enumerate(X):
+        out[i] = np.log(model.priors)
+        for c in (0, 1):
+            for j in range(model.n_features):
+                out[i, c] += scalar_log_likelihood(model.feature_stats[c][j], float(x[j]))
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    NBParams(),
+    NBParams(use_kernel_density=True),
+    NBParams(use_kernel_density=True, bandwidth_adjust=0.4),
+    NBParams(use_kernel_density=True, bandwidth_adjust=2.5, laplace=0.5),
+    NBParams(laplace=1.0),
+    NBParams(laplace=0.0),
+], ids=["gaussian", "kde", "kde-narrow", "kde-wide-smoothed", "laplace", "unsmoothed"])
+@pytest.mark.parametrize("width", [7, 13])
+def test_log_joint_matches_scalar_oracle(cleveland, params, width):
+    ds = cleveland if width == 13 else select_columns(cleveland, SELECTED_FEATURES)
+    rng = np.random.default_rng(width)
+    # few training rows leave some categorical values unseen in a class
+    model = nb_fit(ds.subset_rows(rng.permutation(ds.n_rows)[:24]), params)
+    # the table's rows, then copies with noise in the continuous columns
+    continuous = [f.kind == CONTINUOUS for f in ds.schema]
+    X = np.vstack([ds.X] + [ds.X + rng.normal(size=ds.X.shape) * continuous for _ in range(4)])
+    oracle = oracle_log_joint(model, X)
+    assert np.array_equal(model.log_joint(X), oracle)
+    assert np.isneginf(oracle).any() == (params.laplace == 0.0)

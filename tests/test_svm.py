@@ -6,12 +6,16 @@ from cadml.classifiers import SVMParams, svm_fit
 from cadml.classifiers.svm import SVMModel, dual_objective, kkt_residuals, rbf_gram
 from cadml.errors import SingleClassData
 
-from conftest import make_dataset
+from conftest import continuous_schema, make_dataset
 
 
 def rbf_kernel(x, y, sigma):
-    """Pointwise reference for rbf_gram: exp(-sigma * ||x - y||^2)."""
-    return float(np.exp(-sigma * np.sum((np.asarray(x) - np.asarray(y)) ** 2)))
+    """Pointwise reference for rbf_gram: exp(-sigma * ||x - y||^2).
+
+    Computed in long double: the property test's domain reaches exponents
+    near -2000, where the float64 exp underflows to exactly 0."""
+    d = np.asarray(x, dtype=np.longdouble) - np.asarray(y, dtype=np.longdouble)
+    return np.exp(-np.longdouble(sigma) * np.sum(d**2))
 
 
 def qp_oracle(K, y, C):
@@ -128,7 +132,7 @@ def test_decision_tie_goes_to_class_zero():
 
 def test_serialization_roundtrip(tiny_separable):
     model = svm_fit(tiny_separable, SVMParams(C=1.0, sigma=0.5))
-    clone = SVMModel.from_dict(model.to_dict(), None)
+    clone = SVMModel.from_dict(model.to_dict(), continuous_schema(2))
     rng = np.random.default_rng(3)
     Q = rng.normal(size=(25, 2)) * 3
     assert np.array_equal(clone.predict_batch(Q), model.predict_batch(Q))
