@@ -1,31 +1,30 @@
 #!/usr/bin/env python3
-"""Run the full experiment: inspect, rank, select, tune, compare.
+"""Run the full experiment: rank, select, cross-validate, compare.
 
-Reproduces the whole modelling pipeline on the Cleveland dataset end to end
-and prints a compact report of every stage. Use --fast for a quicker pass
-(fewer folds, shorter wrapper search) while iterating.
+Prints each stage's report as the matching `cadml` command does. Use --fast
+for a quicker pass (fewer folds, shorter wrapper search) while iterating.
 """
 import argparse
 import json
 import time
 
-from cadml.classifiers import NBParams
+from cadml import cli
 from cadml.dataset import REMOVED_FEATURES, SELECTED_FEATURES, load_dataset, select_columns
-from cadml.evaluation import cross_validate
-from cadml.feature_selection import best_first_subset, rank_features
-from cadml.tuning import compare_models
+from cadml.feature_selection import EVALUATORS
 
 
-def fmt(value):
-    return "n/a" if value is None else f"{value:.4f}"
+def show(heading, report):
+    """Print a stage's report as text under its heading; return its JSON body."""
+    print(f"\n== {heading} ==", *report.lines(), sep="\n")
+    return report.body()
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--data", default="data/processed.cleveland.data")
-    ap.add_argument("--folds", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=2018)
-    ap.add_argument("--subset-seed", type=int, default=1)
+    ap.add_argument("--folds", type=int, default=cli.DEFAULT_FOLDS)
+    ap.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
+    ap.add_argument("--subset-seed", type=int, default=cli.SUBSET_SEED)
     ap.add_argument("--fast", action="store_true",
                     help="5 folds and an abbreviated wrapper search")
     ap.add_argument("--json-out", default=None,
@@ -39,57 +38,25 @@ def main():
     neg, pos = ds.class_counts()
     print(f"dataset: {ds.n_rows} rows ({neg} negative / {pos} positive), "
           f"{len(ds.schema)} features")
+    payload = {"dataset": {"rows": ds.n_rows, "negative": neg, "positive": pos}}
 
-    print("\n== feature ranking ==")
-    rankings = {}
-    for evaluator in ("info_gain", "correlation"):
-        ranked = rank_features(ds, evaluator)
-        rankings[evaluator] = ranked.to_dict()
-        top = ", ".join(ranked.names()[:7])
-        print(f"{evaluator:<12} top 7: {top}")
-
-    print("\n== wrapper subset search (naive Bayes, best-first) ==")
-    subset = best_first_subset(ds, NBParams(), folds=folds,
-                               seed=args.subset_seed, stale_limit=stale_limit)
-    print(f"selected: {', '.join(subset.selected)}")
-    print(f"objective (mean CV accuracy): {subset.objective:.4f} "
-          f"after {subset.expansions} expansions")
-    kept = set(subset.selected)
-    print(f"overlap with the default 7-feature view: "
-          f"{len(kept & set(SELECTED_FEATURES))} kept / "
+    payload["rankings"] = {e: show(f"feature ranking: {e}", cli.rank_report(ds, {}, e))
+                           for e in EVALUATORS}
+    payload["subset"] = show("wrapper subset search (naive Bayes, best-first)",
+                             cli.subset_report(ds, {}, folds, args.subset_seed, stale_limit))
+    kept = set(payload["subset"]["selected"])
+    print(f"overlap with the default 7-feature view: {len(kept & set(SELECTED_FEATURES))} kept / "
           f"{len(kept & set(REMOVED_FEATURES))} from the dropped group")
 
     view = select_columns(ds, SELECTED_FEATURES)
-    print(f"\n== naive Bayes baseline on the 7-feature view "
-          f"({folds}-fold, seed {args.seed}) ==")
-    baseline = cross_validate(view, NBParams(), folds, args.seed, scaling=False)
-    print(f"mean accuracy {baseline.mean_accuracy:.4f}, "
-          f"pooled accuracy {fmt(baseline.pooled.accuracy)}")
-
-    print("\n== model comparison (grid-tuned, identical folds) ==")
-    report = compare_models(view, folds, args.seed)
-    d = report.to_dict()
-    header = f"{'model':<6}{'best params':<50}{'accuracy':>9}{'recall':>8}" \
-             f"{'spec':>8}{'prec':>8}"
-    print(header)
-    for algo in ("nb", "knn", "svm"):
-        row = d["models"][algo]
-        params = json.dumps(row["best_params"], sort_keys=True)
-        print(f"{algo:<6}{params:<50}{fmt(row['accuracy']):>9}"
-              f"{fmt(row['recall']):>8}{fmt(row['specificity']):>8}"
-              f"{fmt(row['precision']):>8}")
-    print("best per metric: " + ", ".join(
-        f"{m}={a}" for m, a in sorted(d["best_per_metric"].items())))
+    payload["baseline"] = show(
+        f"naive Bayes baseline on the 7-feature view ({folds}-fold, seed {args.seed})",
+        cli.cv_report(view, {}, "nb", folds, args.seed, scaling=False))
+    payload["comparison"] = show("model comparison (grid-tuned, identical folds)",
+                                 cli.compare_report(view, {}, folds, args.seed, scaling=True))
     print(f"\ntotal time: {time.monotonic() - t0:.1f}s")
 
     if args.json_out:
-        payload = {
-            "dataset": {"rows": ds.n_rows, "negative": neg, "positive": pos},
-            "rankings": rankings,
-            "subset": subset.to_dict(),
-            "baseline": baseline.to_dict(),
-            "comparison": d,
-        }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
         print(f"wrote {args.json_out}")

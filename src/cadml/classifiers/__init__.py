@@ -103,7 +103,8 @@ class FittedModel:
         scaling = None
         if (sd := d.get("scaling")) is not None:
             scaling = Standardization(mean=as_shaped(sd["mean"], (len(schema),), "scaling.mean"),
-                                      std=as_shaped(sd["std"], (len(schema),), "scaling.std"))
+                                      std=as_shaped(sd["std"], (len(schema),), "scaling.std",
+                                                    positive=True))
         return cls(model=model, schema=schema, scaling=scaling)
 
 

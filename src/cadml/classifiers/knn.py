@@ -65,8 +65,10 @@ class KNNModel:
         y = np.asarray(d["labels"])
         if y.ndim != 1 or not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be a list of 0s and 1s")
-        return cls(X=as_shaped(d["exemplars"], (len(y), len(schema)), "exemplars"), y=y,
-                   k=KNNParams.from_dict(d).k)
+        k = KNNParams.from_dict(d).k
+        if k > len(y):  # the constructor's TooFewRows is a training error
+            raise ValueError(f"k={k} exceeds {len(y)} exemplars")
+        return cls(X=as_shaped(d["exemplars"], (len(y), len(schema)), "exemplars"), y=y, k=k)
 
 
 def knn_fit(ds: Dataset, params: KNNParams = KNNParams()) -> KNNModel:

@@ -49,7 +49,8 @@ class _GaussianStat:
 
     @classmethod
     def from_dict(cls, s):
-        return cls(mean=s["mean"], var=s["var"])
+        return cls(mean=float(as_shaped(s["mean"], (), "mean")),
+                   var=float(as_shaped(s["var"], (), "var", positive=True)))
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,11 @@ class _KDEStat:
 
     @classmethod
     def from_dict(cls, s):
-        samples = np.asarray(s["samples"], dtype=np.float64)
-        if samples.ndim != 1 or len(samples) == 0:
-            raise ValueError(f"kde samples have shape {samples.shape}")
-        return cls(samples=samples, bandwidth=s["bandwidth"])
+        samples = as_shaped(s["samples"], (len(s["samples"]),), "samples")
+        if len(samples) == 0:
+            raise ValueError("kde without samples")
+        return cls(samples=samples,
+                   bandwidth=float(as_shaped(s["bandwidth"], (), "bandwidth", positive=True)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,10 @@ class _FrequencyStat:
         values = tuple(s["values"])
         if not values:
             raise ValueError("frequency table without values")
-        return cls(values=values, probs=as_shaped(s["probs"], (len(values),), "probs"))
+        probs = as_shaped(s["probs"], (len(values),), "probs")
+        if (probs > 1).any() or (probs < 0).any():
+            raise ValueError("probs outside [0, 1]")
+        return cls(values=values, probs=probs)
 
 
 _STATS = {"gaussian": _GaussianStat, "kde": _KDEStat, "frequency": _FrequencyStat}
@@ -165,7 +170,7 @@ class NBModel:
         stats = [[_STATS[s["type"]].from_dict(s) for s in row] for row in d["feature_stats"]]
         if len(stats) != 2 or any(len(row) != len(schema) for row in stats):
             raise ValueError(f"feature_stats is not 2 x {len(schema)}")
-        return cls(schema=schema, priors=as_shaped(d["priors"], (2,), "priors"),
+        return cls(schema=schema, priors=as_shaped(d["priors"], (2,), "priors", positive=True),
                    feature_stats=stats, params=NBParams.from_dict(d["params"]))
 
 

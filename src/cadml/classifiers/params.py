@@ -2,6 +2,7 @@
 that their models apply to the arrays of a model file."""
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -53,16 +54,19 @@ class SVMParams(_Params):
     algorithm = "svm"
 
     def __post_init__(self):
-        if self.C <= 0 or self.sigma <= 0:
-            raise ValueError("C and sigma must be > 0")
+        if not (0 < self.C < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError("C and sigma must be positive and finite")
 
 
 HyperParams = NBParams | KNNParams | SVMParams
 
 
-def as_shaped(value, shape, name) -> np.ndarray:
-    """value from a model file as a float64 array of the given shape."""
+def as_shaped(value, shape, name, positive=False) -> np.ndarray:
+    """value from a model file as a float64 array of the given shape, with
+    finite entries that are all above 0 if positive."""
     array = np.asarray(value, dtype=np.float64)
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all() or (positive and not (array > 0).all()):
+        raise ValueError(f"{name} must hold finite{' positive' if positive else ''} numbers")
     return array

@@ -214,14 +214,12 @@ class SVMModel:
 
     @classmethod
     def from_dict(cls, d, schema):
-        dual_coef = np.asarray(d["dual_coef"], dtype=np.float64)
-        if dual_coef.ndim != 1:
-            raise ValueError(f"dual_coef has shape {dual_coef.shape}")
+        dual_coef = as_shaped(d["dual_coef"], (len(d["dual_coef"]),), "dual_coef")
         return cls(
             support_vectors=as_shaped(d["support_vectors"], (len(dual_coef), len(schema)),
                                       "support_vectors"),
             dual_coef=dual_coef,
-            bias=d["bias"],
+            bias=as_shaped(d["bias"], (), "bias"),
             params=SVMParams.from_dict(d["params"]),
             dual_objective_value=d["dual_objective"],
             converged=d["converged"],

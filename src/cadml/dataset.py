@@ -6,6 +6,7 @@ cell. A header variant is accepted where the first line names the columns.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -83,7 +84,6 @@ class Dataset:
     schema: tuple[FeatureSchema, ...]
     X: np.ndarray  # shape (n, len(schema)), float64
     y: np.ndarray  # shape (n,), int64, values in {0, 1}
-    provenance: str = ""
 
     def __post_init__(self):
         if self.X.shape != (len(self.y), len(self.schema)):
@@ -113,7 +113,7 @@ def _parse_cell(token: str, line_no: int, column: int) -> float | None:
         value = float(token)
     except ValueError:
         raise NonNumericCell(line_no, column, token) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NonNumericCell(line_no, column, token)
     return value
 
@@ -195,7 +195,7 @@ def binarize_target(raw_target: int) -> int:
     return 0 if raw_target == 0 else 1
 
 
-def drop_incomplete(raw: RawTable, provenance: str = "") -> Dataset:
+def drop_incomplete(raw: RawTable) -> Dataset:
     """Remove every row with a missing cell and binarize the target."""
     keep_x, keep_y = [], []
     for cells, target in zip(raw.cells, raw.targets):
@@ -208,7 +208,7 @@ def drop_incomplete(raw: RawTable, provenance: str = "") -> Dataset:
     X = np.asarray(keep_x, dtype=np.float64)
     y = np.asarray(keep_y, dtype=np.int64)
     _validate_values(raw.schema, X)
-    return Dataset(schema=raw.schema, X=X, y=y, provenance=provenance)
+    return Dataset(schema=raw.schema, X=X, y=y)
 
 
 def _validate_values(schema, X):
@@ -225,7 +225,7 @@ def load_dataset(path, schema=CLEVELAND_SCHEMA, header: bool = False) -> Dataset
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     raw = parse_csv(text, schema, header=header)
-    return drop_incomplete(raw, provenance=str(path))
+    return drop_incomplete(raw)
 
 
 def select_columns(ds: Dataset, keep) -> Dataset:
@@ -239,7 +239,6 @@ def select_columns(ds: Dataset, keep) -> Dataset:
         schema=tuple(ds.schema[j] for j in idx),
         X=ds.X[:, idx].copy(),
         y=ds.y.copy(),
-        provenance=ds.provenance,
     )
 
 

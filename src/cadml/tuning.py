@@ -118,17 +118,16 @@ class ComparisonReport:
 METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")
 
 
-def compare_models(ds: Dataset, k: int, seed: int,
-                   scaling_overrides: dict[str, bool] | None = None) -> ComparisonReport:
+def compare_models(ds: Dataset, k: int, seed: int, scaling: bool = True) -> ComparisonReport:
     """Tune all three algorithms on identical folds and compare the winners'
-    pooled held-out metrics."""
+    pooled held-out metrics. Each algorithm gets its default_scaling, or
+    none with scaling=False."""
     folds = stratified_folds(ds.y, k, seed)
     grids = default_grids()
     per_algorithm = {}
     for algo in ALGORITHMS:
-        scaling = (scaling_overrides or {}).get(algo)
         per_algorithm[algo] = grid_search(ds, grids[algo], k, seed,
-                                          scaling=scaling, folds=folds)
+                                          scaling=scaling and default_scaling(algo), folds=folds)
     best_per_metric = {}
     for metric in METRIC_NAMES:
         values = {

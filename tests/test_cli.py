@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,9 +8,12 @@ from cadml import __version__
 from cadml.classifiers import ALGORITHMS, NBParams, fit_model, save_model
 from cadml.cli import main
 from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
-from cadml.tuning import default_scaling
+from cadml.tuning import default_grids, default_scaling
 
 from conftest import DATA_PATH
+
+# a numpy warning on a CLI path is a defect, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def run_cli(args):
@@ -157,6 +161,21 @@ def first_label_two(d):
     d["model"]["labels"][0] = 2
 
 
+def first_prob_negative(d):
+    d["model"]["feature_stats"][0][0]["probs"][0] = -0.1
+
+
+def first_std_zero(d):
+    d["scaling"]["std"][0] = 0
+
+
+def set_gaussian(key, value):
+    """Edit the Gaussian of MaxHeart, the second feature of the 7-feature view."""
+    def change(d):
+        d["model"]["feature_stats"][0][1][key] = value
+    return edit_json(change)
+
+
 @pytest.mark.parametrize("record,algorithm,edit_model", [
     ("x,150,1,2.3,2,0,7", "nb", None),
     ("?,150,1,2.3,2,0,7", "nb", None),
@@ -179,10 +198,22 @@ def first_label_two(d):
     (GOOD_RECORD, "knn", edit_json(first_label_two)),
     (GOOD_RECORD, "knn", edit_json(cut_exemplar_rows)),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["dual_coef"].pop())),
+    (GOOD_RECORD, "nb", set_gaussian("var", 0)),
+    (GOOD_RECORD, "nb", set_gaussian("var", -1)),
+    (GOOD_RECORD, "nb", set_gaussian("mean", "x")),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"].update(priors=[0, 1]))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"].update(priors=[-1, 1]))),
+    (GOOD_RECORD, "knn", edit_json(first_std_zero)),
+    (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(k=999))),
+    (GOOD_RECORD, "nb", edit_json(first_prob_negative)),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(bias=float("nan")))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["params"].update(sigma=float("inf")))),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
-        "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut"])
+        "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut", "nb-var-0",
+        "nb-var-negative", "nb-mean-string", "nb-prior-0", "nb-prior-negative", "knn-std-0",
+        "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
@@ -213,6 +244,44 @@ def test_predict_data_matches_predict_batch(tmp_path, algorithm):
         assert fitted.predict(x) == label
     if algorithm == "nb":
         assert [p["posterior"] for p in predictions] == fitted.posterior_batch(ds.X).tolist()
+
+
+COMMANDS = {
+    "inspect": ["inspect", "--data", DATA_PATH],
+    "rank": ["rank", "--data", DATA_PATH, "--evaluator", "info_gain"],
+    "subset": ["subset", "--data", DATA_PATH, "--folds", "5", "--stale-limit", "1"],
+    "cv": ["cv", "--data", DATA_PATH, "--algorithm", "svm"],
+    "tune": ["tune", "--data", DATA_PATH, "--algorithm", "knn"],
+    "compare": ["compare", "--data", DATA_PATH, "--folds", "5"],
+    "predict": ["predict", "--record", GOOD_RECORD, "--record", "4,109,1,2.4,2,1,3"],
+}
+
+
+@pytest.fixture(scope="module")
+def nb_model_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "nb.json"
+    save_model(fit_model(select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES),
+                         NBParams()), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_in_every_format(tmp_path, nb_model_path, command, fmt):
+    out = tmp_path / f"report.{fmt}"
+    args = COMMANDS[command] + (["--model", nb_model_path] if command == "predict" else [])
+    assert run_cli([*args, "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        assert json.loads(text)["config"]["command"] == command
+    elif fmt == "csv":
+        header, *rows = csv.reader(text.splitlines())
+        assert rows and all(len(row) == len(header) for row in rows)
+        if command == "tune":
+            assert [json.loads(row[0]) for row in rows] == \
+                [p.to_dict() for p in default_grids()["knn"].candidates]
+    else:
+        assert text.endswith("\n") and len(text.splitlines()) > 1
 
 
 def test_exit_code_usage_error():
