@@ -112,6 +112,23 @@ class _FrequencyStat:
 _STATS = {"gaussian": _GaussianStat, "kde": _KDEStat, "frequency": _FrequencyStat}
 
 
+def posterior_from_log_joint(logs: np.ndarray) -> np.ndarray:
+    """Class posteriors of (n, 2) log-joints, renormalized over each row's
+    finite entries, uniform for a row with none. Overwrites logs."""
+    finite = np.isfinite(logs)
+    none = ~finite.any(axis=1)
+    logs[none], finite[none] = 0.0, True
+    m = np.max(logs, axis=1, where=finite, initial=-np.inf, keepdims=True)
+    probs = np.where(finite, np.exp(logs - m), 0.0)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def labels_from_log_joint(logs: np.ndarray) -> np.ndarray:
+    """The predicted class of each row of (n, 2) log-joints; ties go to class 0."""
+    post = posterior_from_log_joint(logs)
+    return np.where(post[:, 0] >= post[:, 1], 0, 1)
+
+
 class NBModel:
     def __init__(self, schema, priors, feature_stats, params: NBParams):
         self.schema = schema
@@ -139,22 +156,14 @@ class NBModel:
         return self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
 
     def posterior_batch(self, X) -> np.ndarray:
-        """P(class | x) of each row of X, shape (n, 2); renormalized over the
-        finite log-joints, uniform for a row with none."""
-        logs = self.log_joint(X)
-        finite = np.isfinite(logs)
-        none = ~finite.any(axis=1)
-        logs[none], finite[none] = 0.0, True
-        m = np.max(logs, axis=1, where=finite, initial=-np.inf, keepdims=True)
-        probs = np.where(finite, np.exp(logs - m), 0.0)
-        return probs / probs.sum(axis=1, keepdims=True)
+        """P(class | x) of each row of X, shape (n, 2)."""
+        return posterior_from_log_joint(self.log_joint(X))
 
     def predict(self, x) -> int:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        post = self.posterior_batch(X)
-        return np.where(post[:, 0] >= post[:, 1], 0, 1)
+        return labels_from_log_joint(self.log_joint(X))
 
     def to_dict(self):
         return {

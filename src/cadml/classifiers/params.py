@@ -3,6 +3,7 @@ that their models apply to the arrays of a model file."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -16,8 +17,25 @@ class _Params:
 
     @classmethod
     def from_dict(cls, d):
-        # coerce each field to the type of its default, so a JSON 1 reads as 1.0
-        return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)})
+        return cls(**{f.name: _json_field(d[f.name], type(f.default), f.name)
+                      for f in fields(cls)})
+
+
+def _json_field(value, kind, name):
+    """value of a JSON record as kind: a bool only from a JSON boolean, an int
+    only from an integral number, a float only from a finite number; a JSON
+    1 reads as 1.0 and 3.0 as 3, but "false" is not False and 3.9 is not 3."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = number and (isinstance(value, int) or value.is_integer())
+    else:
+        # false for NaN, inf and an int too large for a float
+        ok = number and abs(value) <= sys.float_info.max
+    if not ok:
+        raise ValueError(f"{name} must be a JSON {kind.__name__}, not {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -29,10 +47,10 @@ class NBParams(_Params):
     algorithm = "nb"
 
     def __post_init__(self):
-        if self.laplace < 0:
-            raise ValueError("laplace must be >= 0")
-        if self.bandwidth_adjust <= 0:
-            raise ValueError("bandwidth_adjust must be > 0")
+        if not 0 <= self.laplace < math.inf:
+            raise ValueError("laplace must be finite and >= 0")
+        if not 0 < self.bandwidth_adjust < math.inf:
+            raise ValueError("bandwidth_adjust must be finite and > 0")
 
 
 @dataclass(frozen=True)

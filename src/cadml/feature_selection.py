@@ -4,22 +4,24 @@ Two rankers: information gain (continuous features binned by supervised MDL
 discretization, discrete features by their codes) and absolute Pearson
 correlation against the 0/1 label. The wrapper is a greedy best-first search
 over feature subsets whose objective is the mean cross-validated accuracy of
-a wrapped classifier, stopping after a fixed number of consecutive
-non-improving expansions.
+naive Bayes, stopping after a fixed number of consecutive non-improving
+expansions.
 
 Ties everywhere break by schema order so every result is deterministic.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import HyperParams, NBParams
-from .dataset import CONTINUOUS, Dataset, select_columns
+from .classifiers import NBParams, nb_fit
+from .classifiers.naive_bayes import labels_from_log_joint
+from .dataset import CONTINUOUS, Dataset
 from .errors import EmptyInput
-from .evaluation import cross_validate, stratified_folds
+from .evaluation import stratified_folds
 
 
 def entropy(labels) -> float:
@@ -169,51 +171,65 @@ class SubsetSearchResult:
                 "expansions": self.expansions}
 
 
-def best_first_subset(ds: Dataset, wrapped: HyperParams = NBParams(), folds: int = 10,
+def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 10,
                       seed: int = 1, stale_limit: int | None = 5,
                       min_improvement: float = 0.005) -> SubsetSearchResult:
     """Greedy best-first search from the empty set, expanding by single-feature
-    addition and deletion; objective is the wrapped classifier's mean k-fold CV
-    accuracy on the subset. The fold assignment is computed once so every
-    subset is scored on identical splits. stale_limit=None searches until the
-    open list is exhausted.
+    addition and deletion; objective is the mean k-fold CV accuracy of naive
+    Bayes with the wrapped params on the subset. The fold assignment is
+    computed once so every subset is scored on identical splits.
+    stale_limit=None searches until the open list is exhausted.
+
+    The objective does not refit per subset. Every per-feature statistic,
+    the variance floor included, depends only on its own column, and the
+    priors on no column, so naive Bayes is fit once per fold on all columns
+    and each held-out row gets a log prior and one log-likelihood column per
+    feature. A subset's held-out log-joint is the prior plus its columns,
+    added in schema order: the same float operations in the same order as
+    NBModel.log_joint on the subset's columns, so the objective equals
+    cross_validate's mean_accuracy on select_columns(ds, subset) exactly.
 
     A candidate only displaces the incumbent best subset when it beats it by
     more than min_improvement; gains below half a percentage point of CV
     accuracy on a dataset this size are partition noise, and counting them
     drags marginal features into the subset.
     """
+    if not isinstance(wrapped, NBParams):
+        raise ValueError(f"the wrapper scores naive Bayes only, not {wrapped.algorithm!r}")
     if stale_limit is not None and stale_limit < 1:
         raise ValueError("stale_limit must be >= 1")
     names = ds.feature_names
     assignment = stratified_folds(ds.y, folds, seed)
-    majority = max(ds.class_counts()) / ds.n_rows
-    cache: dict[frozenset, float] = {}
+    # held-out log prior (n, 2) and per-feature log-likelihood columns (d, n, 2)
+    prior = np.empty((ds.n_rows, 2))
+    columns = np.empty((len(names), ds.n_rows, 2))
+    for f in range(assignment.k):
+        test = assignment.test_indices(f)
+        model = nb_fit(ds.subset_rows(assignment.train_indices(f)), wrapped)
+        prior[test] = np.log(model.priors)
+        for c in (0, 1):
+            for j, stat in enumerate(model.feature_stats[c]):
+                columns[j, test, c] = stat.log_likelihood(ds.X[test, j])
+    fold_sizes = np.bincount(assignment.fold_of_row)
 
     def objective(subset: frozenset) -> float:
-        if subset in cache:
-            return cache[subset]
-        if not subset:
-            score = majority  # prior-only classifier predicts the majority class
-        else:
-            view = select_columns(ds, [n for n in names if n in subset])
-            score = cross_validate(view, wrapped, folds, seed, scaling=False,
-                                   folds=assignment).mean_accuracy
-        cache[subset] = score
-        return score
+        logs = prior.copy()
+        for j, name in enumerate(names):
+            if name in subset:
+                logs += columns[j]
+        correct = labels_from_log_joint(logs) == ds.y
+        return float(np.mean(np.bincount(assignment.fold_of_row, weights=correct) / fold_sizes))
 
     start = frozenset()
-    open_list: list[tuple[frozenset, int]] = [(start, 0)]  # (subset, discovery order)
+    # the prior-only classifier predicts the majority class
+    best_subset, best_score = start, max(ds.class_counts()) / ds.n_rows
+    open_heap = [(-best_score, 0, start)]  # (-score, discovery order, subset)
     discovered = {start}
-    expanded: set[frozenset] = set()
-    best_subset, best_score = start, objective(start)
     counter = 1
     stale = 0
     expansions = 0
-    while open_list:
-        open_list.sort(key=lambda t: (-cache[t[0]], t[1]))
-        node, _ = open_list.pop(0)
-        expanded.add(node)
+    while open_heap:
+        _, _, node = heapq.heappop(open_heap)
         expansions += 1
         improved = False
         for name in names:
@@ -222,7 +238,7 @@ def best_first_subset(ds: Dataset, wrapped: HyperParams = NBParams(), folds: int
                 continue
             discovered.add(child)
             score = objective(child)
-            open_list.append((child, counter))
+            heapq.heappush(open_heap, (-score, counter, child))
             counter += 1
             if score > best_score + min_improvement:
                 best_subset, best_score = child, score

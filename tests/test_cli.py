@@ -12,9 +12,6 @@ from cadml.tuning import default_grids, default_scaling
 
 from conftest import DATA_PATH
 
-# a numpy warning on a CLI path is a defect, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def run_cli(args):
     try:
@@ -208,12 +205,19 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", edit_json(first_prob_negative)),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(bias=float("nan")))),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["params"].update(sigma=float("inf")))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(
+        use_kernel_density="false"))),
+    (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(k=3.9))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(laplace=float("nan")))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(
+        bandwidth_adjust=float("nan")))),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
         "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut", "nb-var-0",
         "nb-var-negative", "nb-mean-string", "nb-prior-0", "nb-prior-negative", "knn-std-0",
-        "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf"])
+        "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf",
+        "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
@@ -291,6 +295,29 @@ def test_exit_code_usage_error():
     for grid in ("[", "[]", '[{"algorithm": "forest"}]', '[{"algorithm": "knn"}]',
                  '[{"algorithm": "knn", "k": 3}, {"algorithm": "nb"}]'):
         assert run_cli(["tune", "--data", DATA_PATH, "--grid", grid]) == 1
+
+
+@pytest.mark.parametrize("record", [
+    {"algorithm": "nb", "use_kernel_density": "false", "laplace": 0, "bandwidth_adjust": 1},
+    {"algorithm": "knn", "k": 3.9},
+    {"algorithm": "knn", "k": True},
+    {"algorithm": "nb", "use_kernel_density": False, "laplace": float("nan"),
+     "bandwidth_adjust": 1},
+    {"algorithm": "nb", "use_kernel_density": False, "laplace": 0,
+     "bandwidth_adjust": float("nan")},
+], ids=["kde-string", "k-fraction", "k-bool", "laplace-nan", "bandwidth-nan"])
+def test_tune_grid_takes_only_json_typed_values(capsys, record):
+    assert run_cli(["tune", "--data", DATA_PATH, "--grid", json.dumps([record])]) == 1
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rank", "cv", "tune", "compare"])
+@pytest.mark.parametrize("keep", [",", " , ", ""])
+def test_keep_naming_no_feature_is_usage_error(capsys, command, keep):
+    extra = ["--evaluator", "info_gain"] if command == "rank" else []
+    assert run_cli([command, "--data", DATA_PATH, "--keep", keep, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--keep" in err
 
 
 def test_exit_code_missing_file():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,3 +105,19 @@ def test_compare_models_dominant_feature():
 @settings(max_examples=100)
 def test_params_dict_roundtrip(params):
     assert params_from_dict(params.to_dict()) == params
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"laplace": math.nan}, {"laplace": math.inf},
+    {"bandwidth_adjust": math.nan}, {"bandwidth_adjust": math.inf},
+])
+def test_nb_params_reject_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        NBParams(**kwargs)
+
+
+def test_params_from_dict_reads_json_numbers():
+    assert params_from_dict({"algorithm": "svm", "C": 1, "sigma": 0.5}) == SVMParams(C=1.0, sigma=0.5)
+    assert params_from_dict({"algorithm": "knn", "k": 3.0}) == KNNParams(k=3)
+    with pytest.raises(ValueError):
+        params_from_dict({"algorithm": "svm", "C": 10**400, "sigma": 0.5})
