@@ -5,12 +5,16 @@ radial-SVM toolchains can be used verbatim. Labels are mapped {0 -> -1,
 1 -> +1} internally; the decision function is
 f(x) = sum_i alpha_i y_i K(x_i, x) + b with f(x) > 0 meaning class 1.
 
-The solver is Platt-style SMO: pairwise coordinate ascent over the dual with
-KKT-violation working-set selection and the max |E1 - E2| second-choice
-heuristic, an error cache, and a full precomputed Gram matrix. Candidate
-scans start from a rotating (but deterministic) offset.
+The solver (smo) is pairwise coordinate ascent over the dual on a full
+precomputed Gram matrix. Each iteration takes the maximal violating point
+(Keerthi et al., Neural Computation 13, 2001) and the partner of largest
+second-order gain (Fan, Chen & Lin, JMLR 6, 2005; LIBSVM's WSS2), and keeps
+one gradient vector up to date. The violation gap of that pair is the
+stopping test, and the centre of the interval it spans is the bias.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +23,7 @@ from ..errors import LengthMismatch, SingleClassData
 from .params import SVMParams, as_shaped
 
 _ALPHA_EPS = 1e-12
+_CHUNK_ROWS = 1024  # SVMModel.decision holds a support-vectors x _CHUNK_ROWS Gram block
 
 
 def rbf_gram(X, Y, sigma: float) -> np.ndarray:
@@ -51,125 +56,53 @@ def kkt_residuals(K, y, alpha, b, C) -> np.ndarray:
     return res
 
 
-def _recenter_bias(K, y, alpha, C, fallback) -> float:
-    """Place the bias at the center of the interval allowed by the KKT
-    conditions. When every alpha sits on a bound the bias is only
-    interval-determined, and the value left over from the final working-set
-    step can sit outside that interval."""
-    g = K @ (alpha * y)
-    r = y - g
-    at_lower = alpha <= _ALPHA_EPS
-    at_upper = alpha >= C - _ALPHA_EPS
-    lower_set = (~at_upper & (y > 0)) | (~at_lower & (y < 0))
-    upper_set = (~at_upper & (y < 0)) | (~at_lower & (y > 0))
-    if not np.any(lower_set) or not np.any(upper_set):
-        return float(fallback)
-    return float(0.5 * (np.max(r[lower_set]) + np.min(r[upper_set])))
+class SMOResult(NamedTuple):
+    alpha: np.ndarray
+    bias: float
+    converged: bool
+    objective_trace: list  # dual objective after each iteration
 
 
-class _SMOSolver:
-    def __init__(self, K, y, C, tol):
-        self.K = K
-        self.y = y.astype(np.float64)
-        self.C = C
-        self.tol = tol
-        self.n = len(y)
-        self.alpha = np.zeros(self.n)
-        self.b = 0.0
-        self.E = -self.y.copy()  # f == 0 initially
-        self._offset = 0
+def smo(K, y, C: float, tol: float = 1e-3, max_iter: int = 10000) -> SMOResult:
+    """Maximize the dual over 0 <= alpha <= C, sum(alpha * y) = 0.
 
-    def _take_step(self, i1, i2) -> bool:
-        if i1 == i2:
-            return False
-        a1, a2 = self.alpha[i1], self.alpha[i2]
-        y1, y2 = self.y[i1], self.y[i2]
-        E1, E2 = self.E[i1], self.E[i2]
-        s = y1 * y2
-        if s > 0:
-            L, H = max(0.0, a1 + a2 - self.C), min(self.C, a1 + a2)
-        else:
-            L, H = max(0.0, a2 - a1), min(self.C, self.C + a2 - a1)
-        if H - L < _ALPHA_EPS:
-            return False
-        k11, k22, k12 = self.K[i1, i1], self.K[i2, i2], self.K[i1, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 1e-12:
-            a2_new = a2 + y2 * (E1 - E2) / eta
-            a2_new = min(H, max(L, a2_new))
-        else:
-            # flat or concave-up direction: the maximum sits at a bound
-            grad = y2 * (E1 - E2)
-            if grad > 1e-12:
-                a2_new = H
-            elif grad < -1e-12:
-                a2_new = L
-            else:
-                return False
-        if abs(a2_new - a2) < _ALPHA_EPS * (a2_new + a2 + _ALPHA_EPS):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        if a1_new < 0.0:
-            a1_new = 0.0
-        elif a1_new > self.C:
-            a1_new = self.C
-        d1, d2 = a1_new - a1, a2_new - a2
-        b1 = self.b - E1 - y1 * d1 * k11 - y2 * d2 * k12
-        b2 = self.b - E2 - y1 * d1 * k12 - y2 * d2 * k22
-        if 0.0 < a1_new < self.C:
-            b_new = b1
-        elif 0.0 < a2_new < self.C:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-        self.E += y1 * d1 * self.K[i1] + y2 * d2 * self.K[i2] + (b_new - self.b)
-        self.alpha[i1], self.alpha[i2] = a1_new, a2_new
-        self.b = b_new
-        return True
-
-    def _examine(self, i2) -> bool:
-        a2, y2, E2 = self.alpha[i2], self.y[i2], self.E[i2]
-        r2 = E2 * y2
-        if not ((r2 < -self.tol and a2 < self.C) or (r2 > self.tol and a2 > 0.0)):
-            return False
-        non_bound = np.flatnonzero((self.alpha > _ALPHA_EPS) & (self.alpha < self.C - _ALPHA_EPS))
-        if len(non_bound) > 1:
-            i1 = int(non_bound[np.argmax(np.abs(self.E[non_bound] - E2))])
-            if self._take_step(i1, i2):
-                return True
-        self._offset += 1
-        for pool in (non_bound, np.arange(self.n)):
-            if len(pool) == 0:
-                continue
-            start = self._offset % len(pool)
-            for j in range(len(pool)):
-                if self._take_step(int(pool[(start + j) % len(pool)]), i2):
-                    return True
-        return False
-
-    def solve(self, max_passes: int):
-        trace = []
-        examine_all = True
-        passes = 0
-        while passes < max_passes:
-            num_changed = 0
-            targets = (
-                range(self.n)
-                if examine_all
-                else np.flatnonzero((self.alpha > _ALPHA_EPS) & (self.alpha < self.C - _ALPHA_EPS))
-            )
-            for i in targets:
-                if self._examine(int(i)):
-                    num_changed += 1
-            trace.append(dual_objective(self.K, self.y, self.alpha))
-            passes += 1
-            if examine_all:
-                if num_changed == 0:
-                    return True, trace
-                examine_all = False
-            elif num_changed == 0:
-                examine_all = True
-        return False, trace
+    r = y - K (alpha * y) is the bias each point would need to sit on its
+    margin. "up" holds the points whose alpha_i y_i may grow, "low" those
+    whose alpha_i y_i may shrink; the KKT conditions hold when
+    m = max r[up] <= M = min r[low], and any bias in [m, M] then works.
+    Each step moves alpha_i y_i up and alpha_j y_j down by the same t, which
+    raises the objective by t b - t^2 a / 2 with b = r_i - r_j and
+    a = K_ii + K_jj - 2 K_ij; i attains m and j maximizes b^2 / a.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    alpha = np.zeros(len(y))
+    r = y.copy()
+    diag = np.diag(K).copy()
+    pos = y > 0
+    up, low = pos.copy(), ~pos
+    objective, trace = 0.0, []
+    for it in range(max_iter + 1):
+        r_up = np.where(up, r, -np.inf)
+        i = int(np.argmax(r_up))
+        r_low = np.where(low, r, np.inf)
+        m, M = r_up[i], np.min(r_low)
+        if m - M < tol or it == max_iter:
+            break
+        b = m - r_low
+        # a is 0 for a duplicate of row i; the floor sends that step to a bound
+        a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmin(np.where(b > 0.0, -b * b / a, np.inf)))
+        t = min(b[j] / a[j], C - alpha[i] if pos[i] else alpha[i],
+                alpha[j] if pos[j] else C - alpha[j])
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        r -= t * (K[i] - K[j])
+        objective += t * (b[j] - 0.5 * t * a[j])
+        trace.append(objective)
+        for k in (i, j):
+            below_c, above_0 = alpha[k] < C - _ALPHA_EPS, alpha[k] > _ALPHA_EPS
+            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
+    return SMOResult(alpha, float(0.5 * (m + M)), bool(m - M < tol), trace)
 
 
 class SVMModel:
@@ -192,7 +125,11 @@ class SVMModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise LengthMismatch(self.n_features, X.shape)
-        return self.dual_coef @ rbf_gram(self.support_vectors, X, self.params.sigma) + self.bias
+        f = np.empty(len(X))
+        for s in range(0, len(X), _CHUNK_ROWS):
+            f[s:s + _CHUNK_ROWS] = self.dual_coef @ rbf_gram(
+                self.support_vectors, X[s:s + _CHUNK_ROWS], self.params.sigma)
+        return f + self.bias
 
     def predict(self, x) -> int:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -227,27 +164,20 @@ class SVMModel:
 
 
 def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), tol: float = 1e-3,
-            max_passes: int = 10000) -> SVMModel:
+            max_iter: int = 10000) -> SVMModel:
     neg, pos = ds.class_counts()
     if neg == 0 or pos == 0:
         raise SingleClassData("both classes required to fit the SVM")
     y = np.where(ds.y == 1, 1.0, -1.0)
     K = rbf_gram(ds.X, ds.X, params.sigma)
-    solver = _SMOSolver(K, y, params.C, tol)
-    converged, trace = solver.solve(max_passes)
-    solver.b = _recenter_bias(K, y, solver.alpha, params.C, solver.b)
-    sv = solver.alpha > _ALPHA_EPS
-    model = SVMModel(
+    res = smo(K, y, params.C, tol, max_iter)
+    sv = res.alpha > _ALPHA_EPS
+    return SVMModel(
         support_vectors=ds.X[sv].copy(),
-        dual_coef=(solver.alpha * y)[sv],
-        bias=solver.b,
+        dual_coef=(res.alpha * y)[sv],
+        bias=res.bias,
         params=params,
-        dual_objective_value=dual_objective(K, y, solver.alpha),
-        converged=converged,
-        objective_trace=trace,
+        dual_objective_value=dual_objective(K, y, res.alpha),
+        converged=res.converged,
+        objective_trace=res.objective_trace,
     )
-    # diagnostics for solver verification; not part of the serialized model
-    model.alpha = solver.alpha
-    model.train_y = y
-    model.train_gram = K
-    return model

@@ -69,6 +69,7 @@ class RawTable:
     schema: tuple[FeatureSchema, ...]
     cells: tuple[tuple[float | None, ...], ...]
     targets: tuple[int, ...]
+    lines: tuple[int, ...]  # file line of each row
 
     @property
     def n_rows(self) -> int:
@@ -130,6 +131,7 @@ def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
     order = list(range(len(schema)))
     rows: list[tuple[float | None, ...]] = []
     targets: list[int] = []
+    lines: list[int] = []
     saw_header = not header
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -158,7 +160,9 @@ def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
             raise NonNumericCell(line_no, len(schema), "?")
         rows.append(tuple(cells))
         targets.append(_check_raw_target(raw_target))
-    return RawTable(schema=tuple(schema), cells=tuple(rows), targets=tuple(targets))
+        lines.append(line_no)
+    return RawTable(schema=tuple(schema), cells=tuple(rows), targets=tuple(targets),
+                    lines=tuple(lines))
 
 
 def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
@@ -167,7 +171,7 @@ def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
     Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
     is an error; returns a (rows, len(schema)) array.
     """
-    rows = []
+    rows, lines = [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -178,8 +182,9 @@ def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
         if None in cells:
             raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
         rows.append(cells)
+        lines.append(line_no)
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(schema))
-    _validate_values(schema, X)
+    _validate_values(schema, X, lines)
     return X
 
 
@@ -197,28 +202,30 @@ def binarize_target(raw_target: int) -> int:
 
 def drop_incomplete(raw: RawTable) -> Dataset:
     """Remove every row with a missing cell and binarize the target."""
-    keep_x, keep_y = [], []
-    for cells, target in zip(raw.cells, raw.targets):
+    keep_x, keep_y, keep_lines = [], [], []
+    for cells, target, line_no in zip(raw.cells, raw.targets, raw.lines):
         if any(c is None for c in cells):
             continue
         keep_x.append(cells)
         keep_y.append(binarize_target(target))
+        keep_lines.append(line_no)
     if not keep_x:
         raise EmptyDataset("all rows contained missing values")
     X = np.asarray(keep_x, dtype=np.float64)
     y = np.asarray(keep_y, dtype=np.int64)
-    _validate_values(raw.schema, X)
+    _validate_values(raw.schema, X, keep_lines)
     return Dataset(schema=raw.schema, X=X, y=y)
 
 
-def _validate_values(schema, X):
+def _validate_values(schema, X, lines):
+    """Check every allowed-values column; lines[i] is the file line of row i."""
     for j, feat in enumerate(schema):
         if feat.allowed_values is None:
             continue
         bad = ~np.isin(X[:, j], feat.allowed_values)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DisallowedValue(i + 1, feat, float(X[i, j]))
+            raise DisallowedValue(lines[i], feat, float(X[i, j]))
 
 
 def load_dataset(path, schema=CLEVELAND_SCHEMA, header: bool = False) -> Dataset:

@@ -36,11 +36,11 @@ class NonNumericCell(DataError):
 
 
 class DisallowedValue(DataError):
-    def __init__(self, row, feature, value):
-        self.row = row
+    def __init__(self, line_no, feature, value):
+        self.line_no = line_no
         self.feature = feature
         self.value = value
-        super().__init__(f"row {row}: {feature.name} value {value!r} is not one of "
+        super().__init__(f"line {line_no}: {feature.name} value {value!r} is not one of "
                          f"{feature.allowed_values}")
 
 

@@ -19,9 +19,8 @@ from cadml.classifiers import (
     fit_model,
     nb_fit,
     save_model,
-    svm_fit,
 )
-from cadml.classifiers.svm import dual_objective, kkt_residuals
+from cadml.classifiers.svm import dual_objective, kkt_residuals, smo
 from cadml.cli import main
 from cadml.dataset import REMOVED_FEATURES, SELECTED_FEATURES, load_dataset, select_columns
 from cadml.evaluation import ConfusionMatrix, confusion, cross_validate, metrics
@@ -30,7 +29,7 @@ from cadml.tuning import compare_models, default_grids, grid_search
 
 from conftest import DATA_PATH, make_dataset
 from test_knn import oracle_predict
-from test_svm import qp_oracle, random_instance
+from test_svm import exact_dual, gram_and_labels, qp_oracle, random_instance
 
 METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")
 
@@ -102,23 +101,35 @@ def test_grid_reachability(cleveland7):
         assert best_acc - ref_acc <= 0.01, (algo, accs)
 
 
-def test_svm_against_qp_oracle():
-    """50 random small instances: dual objective within 1e-4 of a dense QP
-    solution, KKT residuals <= 1e-3, alphas feasible."""
+@pytest.mark.parametrize("width, accuracies", [
+    (7, [0.815287356321839, 0.8151724137931036, 0.8186206896551724]),
+    (13, [0.7985057471264368, 0.80183908045977, 0.8219540229885057]),
+])
+def test_svm_grid_accuracies(cleveland, width, accuracies):
+    """The default SVM grid's mean CV accuracies at seed 2018, one per C;
+    a single flipped held-out label moves one of them."""
+    ds = select_columns(cleveland, SELECTED_FEATURES) if width == 7 else cleveland
+    result = grid_search(ds, default_grids()["svm"], 10, seed=2018)
+    assert [acc for _, acc in result.per_candidate] == accuracies
+
+
+@pytest.mark.parametrize("oracle", [exact_dual, qp_oracle])
+def test_svm_against_qp_oracle(oracle):
+    """50 random small instances: dual objective within 1e-4 of an
+    independent solution, KKT residuals <= 1e-3, alphas feasible."""
     rng = np.random.default_rng(7)
     for _ in range(50):
         ds, params = random_instance(rng, n_max=8)
-        model = svm_fit(ds, params, tol=1e-6, max_passes=100000)
-        assert np.all(model.alpha >= -1e-12)
-        assert np.all(model.alpha <= params.C + 1e-12)
-        assert abs(model.alpha @ model.train_y) <= 1e-8
-        a_star = qp_oracle(model.train_gram, model.train_y, params.C)
-        gap = abs(dual_objective(model.train_gram, model.train_y, a_star)
-                  - model.dual_objective)
+        K, y = gram_and_labels(ds, params)
+        res = smo(K, y, params.C, tol=1e-6, max_iter=100000)
+        assert np.all(res.alpha >= -1e-12)
+        assert np.all(res.alpha <= params.C + 1e-12)
+        assert abs(res.alpha @ y) <= 1e-8
+        a_star = oracle(K, y, params.C)
+        gap = abs(dual_objective(K, y, a_star) - dual_objective(K, y, res.alpha))
         assert gap <= 1e-4, gap
-        res = kkt_residuals(model.train_gram, model.train_y, model.alpha,
-                            model.bias, params.C)
-        assert res.max() <= 1e-3, res.max()
+        res_kkt = kkt_residuals(K, y, res.alpha, res.bias, params.C)
+        assert res_kkt.max() <= 1e-3, res_kkt.max()
 
 
 def test_nb_posterior_normalization(cleveland7):

@@ -118,6 +118,11 @@ def test_drop_incomplete_rejects_out_of_range_value():
     raw = parse_csv(bad + "\n")
     with pytest.raises(DisallowedValue, match="Thal value 5.0"):
         drop_incomplete(raw)
+    # reported by file line, past a dropped incomplete row and a blank line
+    raw = parse_csv("\n".join([GOOD_LINE, MISSING_LINE, "", bad]) + "\n")
+    with pytest.raises(DisallowedValue, match="^line 4: Thal value 5.0") as err:
+        drop_incomplete(raw)
+    assert err.value.line_no == 4
 
 
 def test_parse_features():
@@ -131,8 +136,12 @@ def test_parse_features():
         parse_features(features.replace("233.0", "inf"), CLEVELAND_SCHEMA)
     with pytest.raises(DataError, match="missing value"):
         parse_features(features.replace("233.0", "?"), CLEVELAND_SCHEMA)
-    with pytest.raises(DisallowedValue, match="Thal value 5.0"):
+    with pytest.raises(DisallowedValue, match="^line 1: Thal value 5.0"):
         parse_features(features.replace(",6.0", ",5.0"), CLEVELAND_SCHEMA)
+    with pytest.raises(DisallowedValue, match="^line 4: Thal value 5.0") as err:
+        parse_features(features + "\n\n\n" + features.replace(",6.0", ",5.0"),
+                       CLEVELAND_SCHEMA)
+    assert err.value.line_no == 4
 
 
 def test_cleveland_load(cleveland):

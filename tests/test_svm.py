@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import SVMParams, svm_fit
-from cadml.classifiers.svm import SVMModel, dual_objective, kkt_residuals, rbf_gram
+from cadml.classifiers.svm import (
+    _ALPHA_EPS,
+    _CHUNK_ROWS,
+    SVMModel,
+    dual_objective,
+    kkt_residuals,
+    rbf_gram,
+    smo,
+)
 from cadml.errors import SingleClassData
 
 from conftest import continuous_schema, make_dataset
@@ -31,6 +39,44 @@ def qp_oracle(K, y, C):
     b = cvxopt.matrix(0.0)
     sol = cvxopt.solvers.qp(P, q, G, h, A, b)
     return np.array(sol["x"]).ravel()
+
+
+def exact_dual(K, y, C):
+    """Reference solution of the dual by enumerating the active set.
+
+    Each point is free or sits at 0 or C. For a free set F the optimum solves
+    the equality-constrained KKT system
+        [Q_FF  y_F] [alpha_F]   [1 - C Q_FU 1]
+        [y_F'   0 ] [   b   ] = [  -C y_U'1  ]
+    where U is the set at C; the labellings of the points outside F only
+    change the right-hand side, so they are solved together as its columns.
+    The feasible solution with the highest objective is the optimum."""
+    n = len(y)
+    Q = np.outer(y, y) * K
+    best, best_obj = None, -np.inf
+    for free_bits in range(2**n):
+        free = (free_bits >> np.arange(n)) & 1 == 1
+        fixed = ~free
+        m = int(fixed.sum())
+        at_c = C * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1)  # (2^m, m)
+        A = np.zeros((n - m + 1, n - m + 1))
+        A[:-1, :-1] = Q[np.ix_(free, free)]
+        A[:-1, -1] = A[-1, :-1] = y[free]
+        rhs = np.vstack([1.0 - Q[np.ix_(free, fixed)] @ at_c.T, -(at_c @ y[fixed])[None, :]])
+        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        alphas = np.empty((2**m, n))
+        alphas[:, free] = sol[:-1].T
+        alphas[:, fixed] = at_c
+        ok = (np.all((alphas >= -1e-10) & (alphas <= C + 1e-10), axis=1)
+              & (np.abs(alphas @ y) <= 1e-10))
+        if not np.any(ok):
+            continue
+        ay = alphas[ok] * y
+        obj = alphas[ok].sum(axis=1) - 0.5 * np.einsum("ki,ij,kj->k", ay, K, ay)
+        k = int(np.argmax(obj))
+        if obj[k] > best_obj:
+            best, best_obj = alphas[ok][k], obj[k]
+    return best
 
 
 def random_instance(rng, n_max=8):
@@ -84,30 +130,82 @@ def test_separable_training():
     assert np.array_equal(model.predict_batch(ds_X), ds.y)
 
 
+def gram_and_labels(ds, params):
+    return rbf_gram(ds.X, ds.X, params.sigma), np.where(ds.y == 1, 1.0, -1.0)
+
+
 def test_alpha_feasibility_and_objective_monotone():
     rng = np.random.default_rng(19)
     for _ in range(10):
         ds, params = random_instance(rng)
-        model = svm_fit(ds, params, tol=1e-5, max_passes=50000)
-        assert np.all(model.alpha >= -1e-12)
-        assert np.all(model.alpha <= params.C + 1e-12)
-        assert abs(model.alpha @ model.train_y) <= 1e-8
-        trace = model.objective_trace
+        K, y = gram_and_labels(ds, params)
+        res = smo(K, y, params.C, tol=1e-5, max_iter=50000)
+        assert res.converged
+        assert np.all(res.alpha >= -1e-12)
+        assert np.all(res.alpha <= params.C + 1e-12)
+        assert abs(res.alpha @ y) <= 1e-8
+        trace = res.objective_trace
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
+        assert abs(trace[-1] - dual_objective(K, y, res.alpha)) <= 1e-9
 
 
-def test_matches_qp_oracle():
+@pytest.mark.parametrize("oracle", [exact_dual, qp_oracle])
+def test_matches_qp_oracle(oracle):
     rng = np.random.default_rng(101)
     for _ in range(15):
         ds, params = random_instance(rng)
-        model = svm_fit(ds, params, tol=1e-6, max_passes=100000)
-        a_star = qp_oracle(model.train_gram, model.train_y, params.C)
-        gap = abs(dual_objective(model.train_gram, model.train_y, a_star)
-                  - model.dual_objective)
+        K, y = gram_and_labels(ds, params)
+        res = smo(K, y, params.C, tol=1e-6, max_iter=100000)
+        a_star = oracle(K, y, params.C)
+        gap = abs(dual_objective(K, y, a_star) - dual_objective(K, y, res.alpha))
         assert gap <= 1e-4
-        res = kkt_residuals(model.train_gram, model.train_y, model.alpha,
-                            model.bias, params.C)
-        assert res.max() <= 1e-3
+        assert kkt_residuals(K, y, res.alpha, res.bias, params.C).max() <= 1e-3
+
+
+def test_exact_dual_detects_an_unfinished_solve():
+    """The oracle tells a loose solve from an optimal one."""
+    ds, params = random_instance(np.random.default_rng(101))
+    K, y = gram_and_labels(ds, params)
+    a_star = exact_dual(K, y, params.C)
+    early = smo(K, y, params.C, tol=1e-6, max_iter=1)
+    assert not early.converged
+    assert dual_objective(K, y, a_star) - dual_objective(K, y, early.alpha) > 1e-4
+
+
+def test_fit_builds_model_from_smo_result():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        ds, params = random_instance(rng)
+        K, y = gram_and_labels(ds, params)
+        res = smo(K, y, params.C)
+        model = svm_fit(ds, params)
+        sv = res.alpha > _ALPHA_EPS
+        assert np.array_equal(model.dual_coef, (res.alpha * y)[sv])
+        assert np.array_equal(model.support_vectors, ds.X[sv])
+        assert model.bias == res.bias
+        assert model.converged == res.converged
+        assert model.objective_trace == res.objective_trace
+
+
+def test_bias_is_centre_of_kkt_interval():
+    """With every alpha at a bound the KKT conditions only bound the bias to
+    [max r over up, min r over low]; the solver returns that interval's centre."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 2))
+    y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    C = 1e-3
+    K = rbf_gram(X, X, 0.5)
+    res = smo(K, y, C)
+    assert res.converged
+    at_lower = res.alpha <= _ALPHA_EPS
+    at_upper = res.alpha >= C - _ALPHA_EPS
+    assert np.all(at_lower | at_upper)
+    r = y - K @ (res.alpha * y)
+    up = (~at_upper & (y > 0)) | (~at_lower & (y < 0))
+    low = (~at_upper & (y < 0)) | (~at_lower & (y > 0))
+    lo, hi = np.max(r[up]), np.min(r[low])
+    assert lo <= hi
+    assert abs(res.bias - 0.5 * (lo + hi)) <= 1e-9
 
 
 def test_kkt_residuals_zero_at_origin():
@@ -137,3 +235,18 @@ def test_serialization_roundtrip(tiny_separable):
     Q = rng.normal(size=(25, 2)) * 3
     assert np.array_equal(clone.predict_batch(Q), model.predict_batch(Q))
     assert np.max(np.abs(clone.decision(Q[:5]) - model.decision(Q[:5]))) < 1e-12
+
+
+def test_decision_in_chunks_matches_row_by_row():
+    """A batch of several chunks scores as its rows do one at a time. BLAS
+    takes other kernels for a one-row Gram block, so the values may differ
+    in the last bits, but never the labels."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(60, 3))
+    model = svm_fit(make_dataset(X, (X[:, 0] + 0.3 * X[:, 1] > 0).astype(np.int64)),
+                    SVMParams(C=1.0, sigma=0.4))
+    Q = rng.normal(size=(2 * _CHUNK_ROWS + 7, 3)) * 2
+    rows = np.array([model.decision(q[None, :])[0] for q in Q])
+    assert np.max(np.abs(model.decision(Q) - rows)) <= 1e-12
+    assert np.array_equal(model.predict_batch(Q), rows > 0.0)
+    assert model.decision(Q[:0]).shape == (0,)
