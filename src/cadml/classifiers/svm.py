@@ -63,7 +63,7 @@ class SMOResult(NamedTuple):
     objective_trace: list  # dual objective after each iteration
 
 
-def smo(K, y, C: float, tol: float = 1e-3, max_iter: int = 10000) -> SMOResult:
+def smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMOResult:
     """Maximize the dual over 0 <= alpha <= C, sum(alpha * y) = 0.
 
     r = y - K (alpha * y) is the bias each point would need to sit on its
@@ -73,8 +73,13 @@ def smo(K, y, C: float, tol: float = 1e-3, max_iter: int = 10000) -> SMOResult:
     Each step moves alpha_i y_i up and alpha_j y_j down by the same t, which
     raises the objective by t b - t^2 a / 2 with b = r_i - r_j and
     a = K_ii + K_jj - 2 K_ij; i attains m and j maximizes b^2 / a.
+
+    The default cap on iterations is LIBSVM's, max(10^7, 100 n): a large C
+    on a near-linear kernel takes tens of thousands of steps on 297 rows.
     """
     y = np.asarray(y, dtype=np.float64)
+    if max_iter is None:
+        max_iter = max(10_000_000, 100 * len(y))
     alpha = np.zeros(len(y))
     r = y.copy()
     diag = np.diag(K).copy()
@@ -163,14 +168,13 @@ class SVMModel:
         )
 
 
-def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), tol: float = 1e-3,
-            max_iter: int = 10000) -> SVMModel:
+def svm_fit(ds: Dataset, params: SVMParams = SVMParams()) -> SVMModel:
     neg, pos = ds.class_counts()
     if neg == 0 or pos == 0:
         raise SingleClassData("both classes required to fit the SVM")
     y = np.where(ds.y == 1, 1.0, -1.0)
     K = rbf_gram(ds.X, ds.X, params.sigma)
-    res = smo(K, y, params.C, tol, max_iter)
+    res = smo(K, y, params.C)
     sv = res.alpha > _ALPHA_EPS
     return SVMModel(
         support_vectors=ds.X[sv].copy(),
