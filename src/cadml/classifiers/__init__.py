@@ -16,7 +16,7 @@ from ..dataset import Dataset, FeatureSchema, Standardization, standardize
 from ..errors import DataError, LengthMismatch
 from .knn import KNNModel, knn_fit
 from .naive_bayes import NBModel, nb_fit
-from .params import HyperParams, KNNParams, NBParams, SVMParams, as_shaped
+from .params import HyperParams, KNNParams, NBParams, SVMParams, _json_field, as_shaped
 from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, svm_fit
 
 __all__ = [
@@ -99,6 +99,8 @@ class FittedModel:
             for f in d["schema"]
         )
         md = d["model"]
+        if _json_field(md["version"], int, "version") != 1:
+            raise ValueError(f"model version {md['version']!r}, expected 1")
         model = ALGORITHMS[md["algorithm"]].model.from_dict(md, schema)
         scaling = None
         if (sd := d.get("scaling")) is not None:
@@ -127,7 +129,7 @@ def load_model(path) -> FittedModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-            if d["format_version"] != 1:
+            if _json_field(d["format_version"], int, "format_version") != 1:
                 raise ValueError(f"format_version {d['format_version']!r}, expected 1")
             return FittedModel.from_dict(d)
         except (KeyError, TypeError, ValueError) as exc:

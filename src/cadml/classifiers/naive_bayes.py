@@ -151,16 +151,9 @@ class NBModel:
                 out[:, c] += stat.log_likelihood(X[:, j])
         return out
 
-    def posterior(self, x) -> np.ndarray:
-        """P(class | x), non-negative, summing to 1."""
-        return self.posterior_batch(np.asarray(x, dtype=np.float64)[None, :])[0]
-
     def posterior_batch(self, X) -> np.ndarray:
         """P(class | x) of each row of X, shape (n, 2)."""
         return posterior_from_log_joint(self.log_joint(X))
-
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
         return labels_from_log_joint(self.log_joint(X))

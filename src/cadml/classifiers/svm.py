@@ -20,7 +20,7 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import LengthMismatch, SingleClassData
-from .params import SVMParams, as_shaped
+from .params import SVMParams, _json_field, as_shaped
 
 _ALPHA_EPS = 1e-12
 _CHUNK_ROWS = 1024  # SVMModel.decision holds a support-vectors x _CHUNK_ROWS Gram block
@@ -136,9 +136,6 @@ class SVMModel:
                 self.support_vectors, X[s:s + _CHUNK_ROWS], self.params.sigma)
         return f + self.bias
 
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
     def predict_batch(self, X) -> np.ndarray:
         return (self.decision(X) > 0.0).astype(np.int64)
 
@@ -163,8 +160,8 @@ class SVMModel:
             dual_coef=dual_coef,
             bias=as_shaped(d["bias"], (), "bias"),
             params=SVMParams.from_dict(d["params"]),
-            dual_objective_value=d["dual_objective"],
-            converged=d["converged"],
+            dual_objective_value=_json_field(d["dual_objective"], float, "dual_objective"),
+            converged=_json_field(d["converged"], bool, "converged"),
         )
 
 

@@ -243,6 +243,8 @@ def _loads_table(default_keep=None):
                 names = tuple(name.strip() for name in keep.split(",") if name.strip())
                 if not names:
                     raise click.BadParameter(f"{keep!r} names no feature", param_hint="--keep")
+                if len(set(names)) != len(names):
+                    raise click.BadParameter(f"{keep!r} repeats a feature", param_hint="--keep")
             ds = load_dataset(data_path, header=header)
             if names is not None:
                 ds = select_columns(ds, names)

@@ -280,11 +280,8 @@ def fit_standardization(ds: Dataset) -> Standardization:
     return Standardization(mean=mean, std=std)
 
 
-def standardize(ds: Dataset, stats: Standardization | None = None):
-    """Scale continuous features; returns (scaled dataset, stats used)."""
-    if stats is None:
-        stats = fit_standardization(ds)
-    elif len(stats.mean) != len(ds.schema):
-        raise LengthMismatch(len(ds.schema), len(stats.mean))
+def standardize(ds: Dataset):
+    """Scale continuous features by their own stats; returns (scaled dataset, stats)."""
+    stats = fit_standardization(ds)
     return replace(ds, X=stats.apply(ds.X)), stats
 

@@ -138,10 +138,9 @@ def test_nb_posterior_normalization(cleveland7):
     rng = np.random.default_rng(42)
     lo = cleveland7.X.min(axis=0)
     hi = cleveland7.X.max(axis=0)
-    for _ in range(10_000):
-        q = rng.uniform(lo - 1.0, hi + 1.0)
-        post = model.posterior(q)
-        assert abs(post.sum() - 1.0) <= 1e-9
+    post = model.posterior_batch(rng.uniform(lo - 1.0, hi + 1.0, size=(10_000, len(lo))))
+    assert post.shape == (10_000, 2)
+    assert np.max(np.abs(post.sum(axis=1) - 1.0)) <= 1e-9
 
 
 def test_nb_matches_bayes_optimal_boundary():
@@ -205,14 +204,17 @@ def test_knn_against_exhaustive_oracle():
     y = rng.integers(0, 2, len(X))
     checked = 0
     for k in (1, 3, 5, 7):
-        model = KNNModel(X, y, k)
+        Q = []
         for _ in range(250):
             if rng.random() < 0.5:
-                q = rng.normal(size=3)
+                Q.append(rng.normal(size=3))
             else:
-                q = base[int(rng.integers(0, 25))]  # lands exactly on exemplars
-            assert model.predict(q) == oracle_predict(X, y, k, q)
-            checked += 1
+                Q.append(base[int(rng.integers(0, 25))])  # lands exactly on exemplars
+        Q = np.array(Q)
+        # one call over all 250 queries, so they span many blocks of rows
+        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
+            [oracle_predict(X, y, k, q) for q in Q]
+        checked += len(Q)
     assert checked == 1000
 
 

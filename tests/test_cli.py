@@ -211,13 +211,20 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(laplace=float("nan")))),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(
         bandwidth_adjust=float("nan")))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(converged="no"))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(dual_objective=True))),
+    (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(version=2))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["model"].update(version="x"))),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d.update(format_version=True))),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
         "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut", "nb-var-0",
         "nb-var-negative", "nb-mean-string", "nb-prior-0", "nb-prior-negative", "knn-std-0",
         "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf",
-        "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan"])
+        "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan",
+        "svm-converged-string", "svm-dual-objective-bool", "knn-version-2", "nb-version-string",
+        "format-true"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
@@ -318,6 +325,14 @@ def test_keep_naming_no_feature_is_usage_error(capsys, command, keep):
     assert run_cli([command, "--data", DATA_PATH, "--keep", keep, *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--keep" in err
+
+
+@pytest.mark.parametrize("command", ["rank", "cv", "tune", "compare"])
+def test_keep_repeating_a_feature_is_usage_error(capsys, command):
+    extra = ["--evaluator", "info_gain"] if command == "rank" else []
+    assert run_cli([command, "--data", DATA_PATH, "--keep", "Cp,Cp,Thal", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--keep" in err and "repeats" in err
 
 
 def test_exit_code_missing_file():

@@ -14,20 +14,15 @@ def oracle_predict(X, y, k, q):
     d = [float(np.sqrt(np.sum((np.asarray(row) - q) ** 2))) for row in X]
     order = sorted(range(len(y)), key=lambda i: (d[i], i))[:k]
     votes = {0: 0, 1: 0}
-    sums = {0: 0.0, 1: 0.0}
     for i in order:
         votes[y[i]] += 1
-        sums[y[i]] += d[i]
-    if votes[0] != votes[1]:
-        return 0 if votes[0] > votes[1] else 1
-    return 0 if sums[0] <= sums[1] else 1
+    return 0 if votes[0] > votes[1] else 1
 
 
 def test_simple_majority():
     ds = make_dataset([[0.0], [0.1], [0.2], [5.0], [5.1]], [0, 0, 0, 1, 1])
     model = knn_fit(ds, KNNParams(k=3))
-    assert model.predict(np.array([0.05])) == 0
-    assert model.predict(np.array([5.05])) == 1
+    assert model.predict_batch(np.array([[0.05], [5.05]])).tolist() == [0, 1]
 
 
 def test_matches_oracle_random():
@@ -35,10 +30,10 @@ def test_matches_oracle_random():
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, 40)
     for k in (1, 3, 5, 9):
-        model = KNNModel(X, y, k)
-        for _ in range(200):
-            q = rng.normal(size=3) * 2
-            assert model.predict(q) == oracle_predict(X, y, k, q)
+        # 200 queries: many full blocks of rows and a partial last one
+        Q = rng.normal(size=(200, 3)) * 2
+        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
+            [oracle_predict(X, y, k, q) for q in Q]
 
 
 def test_matches_oracle_with_duplicate_exemplars():
@@ -48,18 +43,9 @@ def test_matches_oracle_with_duplicate_exemplars():
     X = np.vstack([base, base])  # every point duplicated
     y = np.array([0] * 10 + [1] * 10)
     for k in (1, 3, 5):
-        model = KNNModel(X, y, k)
-        for _ in range(100):
-            q = rng.integers(0, 3, size=2).astype(float)
-            assert model.predict(q) == oracle_predict(X, y, k, q)
-
-
-def test_vote_tie_breaks_by_summed_distance():
-    # k=2: one neighbor per class, class 1 closer -> class 1 wins the tie
-    model = KNNModel(np.array([[0.0], [3.0]]), np.array([0, 1]), 2)
-    assert model.predict(np.array([2.0])) == 1
-    assert model.predict(np.array([1.0])) == 0
-    assert model.predict(np.array([1.5])) == 0  # equal sums -> class 0
+        Q = rng.integers(0, 3, size=(100, 2)).astype(float)
+        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
+            [oracle_predict(X, y, k, q) for q in Q]
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -68,10 +54,10 @@ def test_translation_invariance(dx, dy):
     rng = np.random.default_rng(33)
     X = rng.normal(size=(20, 2))
     y = rng.integers(0, 2, 20)
-    q = rng.normal(size=2)
+    q = rng.normal(size=(1, 2))
     shift = np.array([dx, dy])
-    a = KNNModel(X, y, 3).predict(q)
-    b = KNNModel(X + shift, y, 3).predict(q + shift)
+    a = KNNModel(X, y, 3).predict_batch(q)
+    b = KNNModel(X + shift, y, 3).predict_batch(q + shift)
     assert a == b
 
 
@@ -80,6 +66,8 @@ def test_k_validation():
         KNNParams(k=4)
     with pytest.raises(ValueError):
         KNNParams(k=0)
+    with pytest.raises(ValueError):
+        KNNModel(np.zeros((3, 1)), np.array([0, 1, 0]), 2)
     with pytest.raises(TooFewRows):
         KNNModel(np.zeros((2, 1)), np.array([0, 1]), 3)
 

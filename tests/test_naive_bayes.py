@@ -31,30 +31,28 @@ def test_posterior_single_feature_closed_form():
     X = np.concatenate([rng.normal(0.0, 1.0, n), rng.normal(2.0, 1.0, n)])
     y = np.array([0] * n + [1] * n)
     model = nb_fit(make_dataset(X, y), NBParams())
-    post = model.posterior(np.array([0.0]))
-    assert abs(post[0] - 1.0 / (1.0 + np.exp(-2.0))) < 0.02
-    post = model.posterior(np.array([1.0]))  # midpoint: even split
-    assert abs(post[0] - 0.5) < 0.02
+    post = model.posterior_batch(np.array([[0.0], [1.0]]))
+    assert abs(post[0, 0] - 1.0 / (1.0 + np.exp(-2.0))) < 0.02
+    assert abs(post[1, 0] - 0.5) < 0.02  # midpoint: even split
 
 
 def test_predict_tie_breaks_to_class_zero():
     model = nb_fit(make_dataset([[-1.0], [1.0], [-1.0], [1.0]], [0, 1, 0, 1]))
-    assert model.predict(np.array([0.0])) == 0
+    assert model.predict_batch(np.array([[0.0]])).tolist() == [0]
 
 
 def test_posterior_sums_to_one(gaussian_model):
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        post = gaussian_model.posterior(rng.normal(size=2) * 10)
-        assert post.shape == (2,)
-        assert abs(post.sum() - 1.0) < 1e-9
-        assert np.all(post >= 0.0)
+    post = gaussian_model.posterior_batch(rng.normal(size=(100, 2)) * 10)
+    assert post.shape == (100, 2)
+    assert np.all(np.abs(post.sum(axis=1) - 1.0) < 1e-9)
+    assert np.all(post >= 0.0)
 
 
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
 @settings(max_examples=100)
 def test_posterior_sums_property(gaussian_model, x):
-    post = gaussian_model.posterior(np.asarray(x))
+    post = gaussian_model.posterior_batch(np.asarray([x]))
     assert abs(post.sum() - 1.0) < 1e-9
 
 
@@ -64,11 +62,11 @@ def test_categorical_frequencies_and_laplace():
                       [0, 0, 0, 1, 1, 1], schema=schema)
     model = nb_fit(ds, NBParams(laplace=0.0))
     # class 0 never saw value 3 -> joint zero, class 1 wins outright
-    assert model.predict(np.array([3.0])) == 1
-    post = model.posterior(np.array([3.0]))
+    assert model.predict_batch(np.array([[3.0]])).tolist() == [1]
+    post = model.posterior_batch(np.array([[3.0]]))[0]
     assert post[1] == 1.0
     smoothed = nb_fit(ds, NBParams(laplace=1.0))
-    post = smoothed.posterior(np.array([3.0]))
+    post = smoothed.posterior_batch(np.array([[3.0]]))[0]
     assert 0.0 < post[0] < post[1] < 1.0
 
 
@@ -76,10 +74,8 @@ def test_all_zero_likelihood_gives_uniform():
     schema = (FeatureSchema("c", CATEGORICAL, (1.0, 2.0, 3.0)),)
     ds = make_dataset([[1.0], [1.0], [2.0], [2.0]], [0, 0, 1, 1], schema=schema)
     model = nb_fit(ds, NBParams(laplace=0.0))
-    post = model.posterior(np.array([3.0]))  # unseen by both classes
-    assert np.array_equal(post, [0.5, 0.5])
-    assert model.predict(np.array([3.0])) == 0
-    # in a batch, such a row leaves the rows around it alone
+    # a value unseen by both classes gives a uniform posterior, and in a
+    # batch such a row leaves the rows around it alone
     X = np.array([[3.0], [2.0], [3.0], [1.0]])
     assert np.array_equal(model.posterior_batch(X),
                           [[0.5, 0.5], [0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
@@ -96,9 +92,9 @@ def test_kde_mode_tracks_bimodal_class():
                       np.array([0] * 200 + [1] * 200))
     kde = nb_fit(ds, NBParams(use_kernel_density=True))
     gauss = nb_fit(ds, NBParams(use_kernel_density=False))
-    assert kde.predict(np.array([0.0])) == 0
-    assert kde.predict(np.array([3.0])) == 1
-    assert kde.posterior(np.array([0.0]))[0] > gauss.posterior(np.array([0.0]))[0]
+    assert kde.predict_batch(np.array([[0.0], [3.0]])).tolist() == [0, 1]
+    at_zero = np.array([[0.0]])
+    assert kde.posterior_batch(at_zero)[0, 0] > gauss.posterior_batch(at_zero)[0, 0]
 
 
 def test_bandwidth_adjust_changes_density():
@@ -117,9 +113,9 @@ def test_zero_variance_column_handled():
     ds = make_dataset([[1.0, 0.0], [1.0, 1.0], [1.0, 10.0], [1.0, 11.0]],
                       [0, 0, 1, 1])
     model = nb_fit(ds, NBParams())
-    post = model.posterior(np.array([1.0, 0.5]))
-    assert np.isfinite(post).all()
-    assert model.predict(np.array([1.0, 0.5])) == 0
+    q = np.array([[1.0, 0.5]])
+    assert np.isfinite(model.posterior_batch(q)).all()
+    assert model.predict_batch(q).tolist() == [0]
 
 
 def test_fit_validations():
@@ -131,7 +127,7 @@ def test_fit_validations():
 
 def test_wrong_query_length(gaussian_model):
     with pytest.raises(LengthMismatch):
-        gaussian_model.posterior(np.array([1.0, 2.0, 3.0]))
+        gaussian_model.posterior_batch(np.array([[1.0, 2.0, 3.0]]))
     assert gaussian_model.log_joint(np.zeros((3, 2))).shape == (3, 2)
     for X in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(2)):
         with pytest.raises(LengthMismatch):
@@ -148,8 +144,8 @@ def test_serialization_roundtrip():
     for params in (NBParams(), NBParams(use_kernel_density=True, laplace=0.5)):
         model = nb_fit(ds, params)
         clone = NBModel.from_dict(model.to_dict(), schema)
-        q = np.array([0.3, 1.0])
-        assert np.array_equal(clone.posterior(q), model.posterior(q))
+        q = np.array([[0.3, 1.0]])
+        assert np.array_equal(clone.posterior_batch(q), model.posterior_batch(q))
         assert clone.params == model.params
 
 

@@ -225,7 +225,7 @@ def test_single_class_rejected(tiny_separable):
 def test_decision_tie_goes_to_class_zero():
     model = SVMModel(support_vectors=np.array([[0.0]]), dual_coef=np.array([0.0]),
                      bias=0.0, params=SVMParams(), dual_objective_value=0.0)
-    assert model.predict(np.array([1.0])) == 0
+    assert model.predict_batch(np.array([[1.0]])).tolist() == [0]
 
 
 def test_serialization_roundtrip(tiny_separable):
