@@ -7,6 +7,7 @@ records later. Serialization is versioned JSON and round-trips exactly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import NamedTuple
 
@@ -45,6 +46,17 @@ def params_from_dict(d) -> HyperParams:
     return ALGORITHMS[d["algorithm"]].params.from_dict(d)
 
 
+@contextmanager
+def _overflow_is_data_error():
+    """A feature value so large that numpy overflows on it (1e200 squared) is
+    a data error, not a warning and an inf."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DataError(f"a feature value is too large ({exc})") from None
+
+
 class FittedModel:
     def __init__(self, model, schema: tuple[FeatureSchema, ...],
                  scaling: Standardization | None):
@@ -66,7 +78,8 @@ class FittedModel:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        return self.model.predict_batch(self._transform(X))
+        with _overflow_is_data_error():
+            return self.model.predict_batch(self._transform(X))
 
     def posterior(self, x):
         """Class-probability vector of one row; only naive Bayes supplies one."""
@@ -77,7 +90,8 @@ class FittedModel:
         """Class-probability rows of X, shape (n, 2); None unless naive Bayes."""
         if not isinstance(self.model, NBModel):
             return None
-        return self.model.posterior_batch(self._transform(X))
+        with _overflow_is_data_error():
+            return self.model.posterior_batch(self._transform(X))
 
     def to_dict(self):
         d = {
@@ -113,11 +127,12 @@ class FittedModel:
 def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False) -> FittedModel:
     """Fit the classifier selected by params, optionally z-scoring continuous
     features first (stats computed from ds itself)."""
-    train, stats = standardize(ds) if scaling else (ds, None)
     # looked up per call, not stored in ALGORITHMS, so that instrumentation
     # that replaces these module attributes (perfbench/spans.py) sees the fits
     fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]
-    return FittedModel(model=fit(train, params), schema=ds.schema, scaling=stats)
+    with _overflow_is_data_error():
+        train, stats = standardize(ds) if scaling else (ds, None)
+        return FittedModel(model=fit(train, params), schema=ds.schema, scaling=stats)
 
 
 def save_model(fitted: FittedModel, path) -> None:
@@ -132,5 +147,5 @@ def load_model(path) -> FittedModel:
             if _json_field(d["format_version"], int, "format_version") != 1:
                 raise ValueError(f"format_version {d['format_version']!r}, expected 1")
             return FittedModel.from_dict(d)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{path} is not a cadml model: {exc!r}") from None

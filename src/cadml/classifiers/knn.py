@@ -9,9 +9,10 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import LengthMismatch, TooFewRows
-from .params import KNNParams, as_shaped
+from .params import KNNParams, _json_field, as_shaped
 
 _CHUNK_ROWS = 8  # predict_batch holds a _CHUNK_ROWS x exemplars x features block
+_FARTHEST = np.finfo(np.float64).max
 
 
 class KNNModel:
@@ -34,9 +35,16 @@ class KNNModel:
         out = np.empty(len(X), dtype=np.int64)
         for s in range(0, len(X), _CHUNK_ROWS):
             d = np.sqrt(np.sum((X[s:s + _CHUNK_ROWS, None, :] - self.X) ** 2, axis=2))
-            # stable sort: distance ties resolve by exemplar index
-            nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-            out[s:s + _CHUNK_ROWS] = 2 * np.sum(self.y[nearest], axis=1) > k
+            # k passes of argmin, each taking the first of equal distances, so
+            # ties resolve by exemplar index; an overflowed distance is made
+            # finite so that it still ranks ahead of the inf of a taken one
+            np.minimum(d, _FARTHEST, out=d)
+            rows, votes = np.arange(len(d)), np.zeros(len(d), dtype=np.int64)
+            for _ in range(k):
+                nearest = d.argmin(axis=1)
+                votes += self.y[nearest]
+                d[rows, nearest] = np.inf
+            out[s:s + _CHUNK_ROWS] = 2 * votes > k
         return out
 
     def to_dict(self):
@@ -50,8 +58,8 @@ class KNNModel:
 
     @classmethod
     def from_dict(cls, d, schema):
-        y = np.asarray(d["labels"])
-        if y.ndim != 1 or not np.isin(y, (0, 1)).all():
+        y = [_json_field(v, int, "labels") for v in d["labels"]]
+        if not set(y) <= {0, 1}:
             raise ValueError("labels must be a list of 0s and 1s")
         k = KNNParams.from_dict(d).k
         if k > len(y):  # the constructor's TooFewRows is a training error

@@ -81,10 +81,14 @@ HyperParams = NBParams | KNNParams | SVMParams
 
 def as_shaped(value, shape, name, positive=False) -> np.ndarray:
     """value from a model file as a float64 array of the given shape, with
-    finite entries that are all above 0 if positive."""
-    array = np.asarray(value, dtype=np.float64)
-    if array.shape != shape:
-        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    entries that are JSON numbers (not strings or booleans), finite, and all
+    above 0 if positive."""
+    leaves = np.asarray(value, dtype=object)
+    if leaves.shape != shape:
+        raise ValueError(f"{name} has shape {leaves.shape}, expected {shape}")
+    if not {type(v) for v in leaves.flat} <= {int, float}:
+        raise ValueError(f"{name} must hold JSON numbers")
+    array = leaves.astype(np.float64)
     if not np.isfinite(array).all() or (positive and not (array > 0).all()):
         raise ValueError(f"{name} must hold finite{' positive' if positive else ''} numbers")
     return array

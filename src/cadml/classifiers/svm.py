@@ -24,15 +24,20 @@ from .params import SVMParams, _json_field, as_shaped
 
 _ALPHA_EPS = 1e-12
 _CHUNK_ROWS = 1024  # SVMModel.decision holds a support-vectors x _CHUNK_ROWS Gram block
+_GRAM_ROWS = 16  # rbf_gram adds the squared norms in blocks of this many rows
 
 
 def rbf_gram(X, Y, sigma: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     # one (len(X), len(Y)) buffer, updated in place; the operation order is
-    # |x|^2 + |y|^2 - 2 x.y, clamp at 0, times -sigma, exp
-    out = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :]
-    out -= 2.0 * X @ Y.T
+    # |x|^2 + |y|^2 - 2 x.y, clamp at 0, times -sigma, exp; |x|^2 + |y|^2 is
+    # formed _GRAM_ROWS rows at a time, so it needs no second such buffer
+    sx, sy = np.sum(X**2, axis=1), np.sum(Y**2, axis=1)
+    out = 2.0 * X @ Y.T
+    for s in range(0, len(X), _GRAM_ROWS):
+        rows = out[s:s + _GRAM_ROWS]
+        np.subtract(sx[s:s + _GRAM_ROWS, None] + sy, rows, out=rows)
     np.maximum(out, 0.0, out=out)
     out *= -sigma
     return np.exp(out, out=out)
@@ -78,36 +83,50 @@ def smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMORe
     on a near-linear kernel takes tens of thousands of steps on 297 rows.
     """
     y = np.asarray(y, dtype=np.float64)
+    n = len(y)
     if max_iter is None:
-        max_iter = max(10_000_000, 100 * len(y))
-    alpha = np.zeros(len(y))
+        max_iter = max(10_000_000, 100 * n)
     r = y.copy()
     diag = np.diag(K).copy()
-    pos = y > 0
-    up, low = pos.copy(), ~pos
+    up = y > 0
+    low = ~up
+    # the scalar steps run on Python floats and bools: indexing a numpy
+    # array boxes a new scalar on every read
+    alpha, labels, pos = [0.0] * n, y.tolist(), up.tolist()
+    a, gain, step = np.empty(n), np.empty(n), np.empty(n)
     objective, trace = 0.0, []
     for it in range(max_iter + 1):
         r_up = np.where(up, r, -np.inf)
-        i = int(np.argmax(r_up))
+        i = int(r_up.argmax())
         r_low = np.where(low, r, np.inf)
-        m, M = r_up[i], np.min(r_low)
+        m, M = r_up.item(i), float(r_low.min())
         if m - M < tol or it == max_iter:
             break
-        b = m - r_low
+        b = np.subtract(m, r_low, out=r_low)
+        # j maximizes b^2 / a over b > 0; clamped to 0, the rest gain nothing
+        np.maximum(b, 0.0, out=b)
+        K_i = K[i]
         # a is 0 for a duplicate of row i; the floor sends that step to a bound
-        a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-        j = int(np.argmin(np.where(b > 0.0, -b * b / a, np.inf)))
-        t = min(b[j] / a[j], C - alpha[i] if pos[i] else alpha[i],
+        np.add(diag, diag[i], out=a)
+        a -= 2.0 * K_i
+        np.maximum(a, 1e-12, out=a)
+        np.multiply(b, b, out=gain)
+        gain /= a
+        j = int(gain.argmax())
+        b_j, a_j = b.item(j), a.item(j)
+        t = min(b_j / a_j, C - alpha[i] if pos[i] else alpha[i],
                 alpha[j] if pos[j] else C - alpha[j])
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        r -= t * (K[i] - K[j])
-        objective += t * (b[j] - 0.5 * t * a[j])
+        alpha[i] += labels[i] * t
+        alpha[j] -= labels[j] * t
+        np.subtract(K_i, K[j], out=step)
+        step *= t
+        r -= step
+        objective += t * (b_j - 0.5 * t * a_j)
         trace.append(objective)
         for k in (i, j):
             below_c, above_0 = alpha[k] < C - _ALPHA_EPS, alpha[k] > _ALPHA_EPS
             up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
-    return SMOResult(alpha, float(0.5 * (m + M)), bool(m - M < tol), trace)
+    return SMOResult(np.array(alpha), 0.5 * (m + M), m - M < tol, trace)
 
 
 class SVMModel:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def first_label_two(d):
     d["model"]["labels"][0] = 2
 
 
+def first_exemplar_string(d):
+    d["model"]["exemplars"][0][0] = str(d["model"]["exemplars"][0][0])
+
+
+def first_exemplar_bools(d):
+    d["model"]["exemplars"][0] = [False] * len(d["model"]["exemplars"][0])
+
+
+def first_labels_bools(d):
+    d["model"]["labels"][:3] = [True, False, 1.0]
+
+
 def first_prob_negative(d):
     d["model"]["feature_stats"][0][0]["probs"][0] = -0.1
 
@@ -216,6 +229,11 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(version=2))),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"].update(version="x"))),
     (GOOD_RECORD, "nb", edit_json(lambda d: d.update(format_version=True))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(bias="0.25"))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(bias=10**400))),
+    (GOOD_RECORD, "knn", edit_json(first_exemplar_string)),
+    (GOOD_RECORD, "knn", edit_json(first_exemplar_bools)),
+    (GOOD_RECORD, "knn", edit_json(first_labels_bools)),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
@@ -224,7 +242,8 @@ def set_gaussian(key, value):
         "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf",
         "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan",
         "svm-converged-string", "svm-dual-objective-bool", "knn-version-2", "nb-version-string",
-        "format-true"])
+        "format-true", "svm-bias-string", "svm-bias-huge-int", "knn-exemplar-string",
+        "knn-exemplar-bools", "knn-labels-bools"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
@@ -237,6 +256,27 @@ def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, ed
     assert err.startswith("data error:") and "Traceback" not in err
     # a bad model file is reported at load, not when the model is applied
     assert ("is not a cadml model" in err) == (edit_model is not None)
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_value_too_large_to_score_is_data_error(tmp_path, capsys, algorithm):
+    """MaxHeart = 1e200 overflows when squared; predict and CV on such a value
+    stop with a data error instead of a numpy warning and a silent result."""
+    model_path = tmp_path / "model.json"
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    save_model(fit_model(ds, ALGORITHMS[algorithm].params(),
+                         scaling=default_scaling(algorithm)), model_path)
+    huge = tmp_path / "huge.data"
+    rows = Path(DATA_PATH).read_text().splitlines()
+    # column 7 of the raw table is MaxHeart
+    rows[0] = ",".join("1e200" if c == 7 else v for c, v in enumerate(rows[0].split(",")))
+    huge.write_text("\n".join(rows) + "\n")
+    for args in (["predict", "--model", str(model_path), "--record", "4,1e200,0,6.2,3,3,7"],
+                 ["cv", "--data", str(huge), "--algorithm", algorithm]):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "too large" in err
+        assert "Warning" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))

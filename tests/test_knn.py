@@ -19,6 +19,37 @@ def oracle_predict(X, y, k, q):
     return 0 if votes[0] > votes[1] else 1
 
 
+def argsort_predict(model, Q):
+    """The first blocked rule: a stable argsort of each row's distances, so
+    equal distances rank by exemplar index, then the first k."""
+    k = model.params.k
+    d = np.sqrt(np.sum((Q[:, None, :] - model.X) ** 2, axis=2))
+    nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return (2 * np.sum(model.y[nearest], axis=1) > k).astype(np.int64)
+
+
+@pytest.mark.parametrize("queries", ["lattice", "gaussian", "overflowed"])
+def test_argmin_selection_matches_stable_argsort(queries):
+    """k passes of argmin pick the exemplars a stable sort puts first: on a
+    lattice full of distance ties, on Gaussian points, and where squared
+    differences overflow to inf, even in every distance of a row."""
+    rng = np.random.default_rng(17)
+    for width in range(1, 16):
+        if queries == "lattice":
+            X = rng.integers(0, 3, size=(30, width)).astype(float)
+            Q = rng.integers(0, 3, size=(45, width)).astype(float)
+        elif queries == "gaussian":
+            X, Q = rng.normal(size=(30, width)), rng.normal(size=(45, width)) * 2
+        else:
+            X, Q = rng.normal(size=(30, width)) * 1e154, rng.normal(size=(45, width)) * 1e155
+            Q[::3] = 1e200
+        y = rng.integers(0, 2, 30)
+        for k in (1, 3, 5, 7, 9, 15):
+            model = KNNModel(X, y, k)
+            with np.errstate(over="ignore"):
+                assert np.array_equal(model.predict_batch(Q), argsort_predict(model, Q))
+
+
 def test_simple_majority():
     ds = make_dataset([[0.0], [0.1], [0.2], [5.0], [5.1]], [0, 0, 0, 1, 1])
     model = knn_fit(ds, KNNParams(k=3))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml.classifiers import SVMParams, fit_model, svm_fit
+from cadml import tuning
+from cadml.classifiers import SVMParams, fit_model, svm, svm_fit
 from cadml.classifiers.svm import (
     _ALPHA_EPS,
     _CHUNK_ROWS,
@@ -10,6 +11,7 @@ from cadml.classifiers.svm import (
     dual_objective,
     kkt_residuals,
     rbf_gram,
+    SMOResult,
     smo,
 )
 from cadml.errors import SingleClassData
@@ -77,6 +79,42 @@ def exact_dual(K, y, C):
         if obj[k] > best_obj:
             best, best_obj = alphas[ok][k], obj[k]
     return best
+
+
+def seed_smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMOResult:
+    """The solver loop as first written, one numpy expression per step; smo
+    must reproduce its every value bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    if max_iter is None:
+        max_iter = max(10_000_000, 100 * len(y))
+    alpha = np.zeros(len(y))
+    r = y.copy()
+    diag = np.diag(K).copy()
+    pos = y > 0
+    up, low = pos.copy(), ~pos
+    objective, trace = 0.0, []
+    for it in range(max_iter + 1):
+        r_up = np.where(up, r, -np.inf)
+        i = int(np.argmax(r_up))
+        r_low = np.where(low, r, np.inf)
+        m, M = r_up[i], np.min(r_low)
+        if m - M < tol or it == max_iter:
+            break
+        b = m - r_low
+        # a is 0 for a duplicate of row i; the floor sends that step to a bound
+        a = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
+        j = int(np.argmin(np.where(b > 0.0, -b * b / a, np.inf)))
+        t = min(b[j] / a[j], C - alpha[i] if pos[i] else alpha[i],
+                alpha[j] if pos[j] else C - alpha[j])
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        r -= t * (K[i] - K[j])
+        objective += t * (b[j] - 0.5 * t * a[j])
+        trace.append(objective)
+        for k in (i, j):
+            below_c, above_0 = alpha[k] < C - _ALPHA_EPS, alpha[k] > _ALPHA_EPS
+            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
+    return SMOResult(alpha, float(0.5 * (m + M)), bool(m - M < tol), trace)
 
 
 def random_instance(rng, n_max=8):
@@ -264,3 +302,48 @@ def test_large_c_converges(cleveland7):
     model = fit_model(cleveland7, SVMParams(C=1000.0, sigma=0.01), scaling=True).model
     assert model.converged
     assert len(model.objective_trace) > 10_000
+
+
+def smo_inputs(monkeypatch, fit):
+    """The (K, y, C) of every smo call that fit() makes."""
+    calls = []
+
+    def record(K, y, C):
+        calls.append((K.copy(), y.copy(), C))
+        return smo(K, y, C)
+
+    monkeypatch.setattr(svm, "smo", record)
+    fit()
+    monkeypatch.undo()
+    return calls
+
+
+def duplicate_rows_instance():
+    """Every row twice, labels drawn independently: a pair of equal rows has
+    curvature a = 0, and 4 of the 13 steps at C = 1 take the 1e-12 floor."""
+    rng = np.random.default_rng(4)
+    base = rng.normal(size=(15, 2))
+    X = np.vstack([base, base])
+    y = np.where(rng.integers(0, 2, 30) == 1, 1.0, -1.0)
+    return [(rbf_gram(X, X, 0.5), y, C) for C in (1.0, 10.0)]
+
+
+@pytest.mark.parametrize("case", ["grid-7", "grid-13", "duplicate-rows", "large-c"])
+def test_smo_matches_seed_loop(case, cleveland, cleveland7, monkeypatch):
+    """smo reproduces the first-written loop exactly: the same alpha, bias,
+    convergence flag and objective after every step, so the same steps."""
+    view = {"grid-7": cleveland7, "grid-13": cleveland}.get(case)
+    if view is not None:  # the default SVM grid's 10-fold problems and refit
+        problems = smo_inputs(monkeypatch, lambda: tuning.grid_search(
+            view, tuning.default_grids()["svm"], 10, 2018))
+    elif case == "duplicate-rows":
+        problems = duplicate_rows_instance()
+    else:  # the 14,416 steps of test_large_c_converges
+        problems = smo_inputs(monkeypatch, lambda: fit_model(
+            cleveland7, SVMParams(C=1000.0, sigma=0.01), scaling=True))
+    for K, y, C in problems:
+        got, want = smo(K, y, C), seed_smo(K, y, C)
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.bias == want.bias
+        assert got.converged == want.converged
+        assert got.objective_trace == want.objective_trace
