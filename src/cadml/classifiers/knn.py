@@ -11,7 +11,7 @@ from ..dataset import Dataset
 from ..errors import LengthMismatch, TooFewRows
 from .params import KNNParams, _json_field, as_shaped
 
-_CHUNK_ROWS = 8  # predict_batch holds a _CHUNK_ROWS x exemplars x features block
+_CHUNK_ROWS = 64  # predict_batch holds two _CHUNK_ROWS x exemplars buffers
 _FARTHEST = np.finfo(np.float64).max
 
 
@@ -33,8 +33,17 @@ class KNNModel:
             raise LengthMismatch(self.n_features, X.shape)
         k = self.params.k
         out = np.empty(len(X), dtype=np.int64)
+        columns = np.ascontiguousarray(self.X.T)
+        dist, sq = np.empty((2, min(len(X), _CHUNK_ROWS), len(self.X)))
         for s in range(0, len(X), _CHUNK_ROWS):
-            d = np.sqrt(np.sum((X[s:s + _CHUNK_ROWS, None, :] - self.X) ** 2, axis=2))
+            block = X[s:s + _CHUNK_ROWS]
+            d, t = dist[:len(block)], sq[:len(block)]
+            # squared differences summed one feature at a time, in schema order
+            d.fill(0.0)
+            for j, column in enumerate(columns):
+                np.subtract(block[:, j, None], column, out=t)
+                d += np.square(t, out=t)
+            np.sqrt(d, out=d)
             # k passes of argmin, each taking the first of equal distances, so
             # ties resolve by exemplar index; an overflowed distance is made
             # finite so that it still ranks ahead of the inf of a taken one

@@ -6,6 +6,9 @@ resolved run configuration and tool version, and all output is deterministic
 for a fixed configuration.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training error.
+
+The training modules (evaluation, feature_selection, tuning) are imported by
+the builders and commands that call them, so that predict loads none of them.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import click
 import numpy as np
@@ -33,9 +36,9 @@ from .dataset import (
     select_columns,
 )
 from .errors import DataError, TrainingError
-from .evaluation import cross_validate
-from .feature_selection import EVALUATORS, best_first_subset, rank_features
-from .tuning import METRIC_NAMES, Grid, compare_models, default_grids, default_scaling, grid_search
+
+if TYPE_CHECKING:
+    from .tuning import Grid
 
 DEFAULT_SEED = 2018
 SUBSET_SEED = 1  # the wrapper-selection step uses its own seed
@@ -73,6 +76,7 @@ _METRIC_TEMPLATE = "{:>10}{:>10}{:>13}{:>11}"  # laid out for _metric_cells
 
 def _metric_cells(rep) -> list[str]:
     """accuracy, recall, specificity and precision; "n/a" where undefined."""
+    from .tuning import METRIC_NAMES
     values = [getattr(rep, metric) for metric in METRIC_NAMES]
     return ["n/a" if value is None else f"{value:.4f}" for value in values]
 
@@ -100,6 +104,7 @@ def inspect_report(raw: RawTable, config: dict) -> Report:
 
 def rank_report(ds, config: dict, evaluator: str) -> Report:
     """Features by information gain or absolute correlation, best first."""
+    from .feature_selection import rank_features
     ranked = rank_features(ds, evaluator)
     return Report(
         config={"command": "rank", **config, "evaluator": evaluator},
@@ -112,6 +117,7 @@ def rank_report(ds, config: dict, evaluator: str) -> Report:
 def subset_report(ds, config: dict, folds: int, seed: int, stale_limit: int = 5,
                   min_improvement: float = 0.005) -> Report:
     """Wrapper subset selection: best-first search around naive Bayes CV accuracy."""
+    from .feature_selection import best_first_subset
     result = best_first_subset(ds, NBParams(), folds=folds, seed=seed,
                                stale_limit=stale_limit, min_improvement=min_improvement)
     return Report(
@@ -127,6 +133,8 @@ def subset_report(ds, config: dict, folds: int, seed: int, stale_limit: int = 5,
 
 def cv_report(ds, config: dict, algorithm: str, folds: int, seed: int, scaling: bool) -> Report:
     """Stratified k-fold cross-validation of one algorithm at its default params."""
+    from .evaluation import cross_validate
+    from .tuning import METRIC_NAMES
     result = cross_validate(ds, ALGORITHMS[algorithm].params(), folds, seed, scaling=scaling)
     named = [*((str(i), rep) for i, rep in enumerate(result.per_fold)), ("pooled", result.pooled)]
     return Report(
@@ -144,6 +152,7 @@ def cv_report(ds, config: dict, algorithm: str, folds: int, seed: int, scaling: 
 def tune_report(ds, config: dict, grid: Grid, folds: int, seed: int, scaling: bool,
                 model_out=None) -> Report:
     """Grid search by CV accuracy; the winner is refit on all rows and saved to model_out."""
+    from .tuning import grid_search
     result = grid_search(ds, grid, folds, seed, scaling=scaling)
     if model_out:
         save_model(result.final_model, model_out)
@@ -162,6 +171,7 @@ def tune_report(ds, config: dict, grid: Grid, folds: int, seed: int, scaling: bo
 
 def compare_report(ds, config: dict, folds: int, seed: int, scaling: bool) -> Report:
     """Tune all three algorithms on identical folds and compare their winners."""
+    from .tuning import METRIC_NAMES, compare_models
     report = compare_models(ds, folds, seed, scaling=scaling)
     heading = ["model", *METRIC_NAMES, "best_params"]
     cells = [[algo, *_metric_cells(tr.best_cv.pooled),
@@ -273,7 +283,8 @@ def inspect(data_path, header):
 
 @cli.command()
 @_loads_table()
-@click.option("--evaluator", required=True, type=click.Choice(list(EVALUATORS)))
+# feature_selection.EVALUATORS, spelled out so that this module does not import it
+@click.option("--evaluator", required=True, type=click.Choice(["info_gain", "correlation"]))
 @_emits_report
 def rank(ds, config, evaluator):
     """Rank features by information gain or absolute correlation."""
@@ -312,11 +323,13 @@ def _algorithm_options(fn):
 @_emits_report
 def cv(ds, config, folds, algorithm, seed, no_scale):
     """Stratified k-fold cross-validation of one algorithm at its default params."""
+    from .tuning import default_scaling
     scaling = default_scaling(algorithm) and not no_scale
     return cv_report(ds, config, algorithm, folds, seed, scaling)
 
 
 def _parse_grid(grid_json: str | None, algorithm: str) -> Grid:
+    from .tuning import Grid, default_grids
     if grid_json is None:
         return default_grids()[algorithm]
     try:
@@ -337,6 +350,7 @@ def _parse_grid(grid_json: str | None, algorithm: str) -> Grid:
 @_emits_report
 def tune(ds, config, folds, algorithm, seed, no_scale, grid_json, model_out):
     """Grid search by CV accuracy; the winner is refit on all rows."""
+    from .tuning import default_scaling
     grid = _parse_grid(grid_json, algorithm)
     scaling = default_scaling(grid.algorithm) and not no_scale
     return tune_report(ds, config, grid, folds, seed, scaling, model_out)

@@ -171,19 +171,26 @@ def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
     Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
     is an error; returns a (rows, len(schema)) array.
     """
-    rows, lines = [], []
+    values, lines = [], []  # values holds the rows' cells end to end
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
         if len(fields) != len(schema):
             raise WrongFieldCount(line_no, len(schema), len(fields))
-        cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
-        if None in cells:
-            raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
-        rows.append(cells)
+        try:  # float() strips whitespace as _parse_cell does
+            cells = list(map(float, fields))
+        except ValueError:
+            cells = None
+        if cells is None or not math.isfinite(sum(cells)):
+            # the cell-by-cell parse names the first bad cell in column order;
+            # it passes a line whose only fault was that its sum overflowed
+            cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
+            if None in cells:
+                raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
+        values += cells
         lines.append(line_no)
-    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    X = np.asarray(values, dtype=np.float64).reshape(len(lines), len(schema))
     _validate_values(schema, X, lines)
     return X
 

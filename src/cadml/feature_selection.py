@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import NBParams, nb_fit
+from .classifiers import NBParams, _overflow_is_data_error, nb_fit
 from .classifiers.naive_bayes import labels_from_log_joint
 from .dataset import CONTINUOUS, Dataset
 from .errors import EmptyInput
@@ -144,6 +144,7 @@ class RankedList:
 EVALUATORS = ("info_gain", "correlation")
 
 
+@_overflow_is_data_error()
 def rank_features(ds: Dataset, evaluator: str) -> RankedList:
     if evaluator not in EVALUATORS:
         raise ValueError(f"unknown evaluator {evaluator!r}")
@@ -171,6 +172,7 @@ class SubsetSearchResult:
                 "expansions": self.expansions}
 
 
+@_overflow_is_data_error()
 def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 10,
                       seed: int = 1, stale_limit: int | None = 5,
                       min_improvement: float = 0.005) -> SubsetSearchResult:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +10,9 @@ import pytest
 
 from cadml import __version__
 from cadml.classifiers import ALGORITHMS, NBParams, fit_model, save_model
-from cadml.cli import main
+from cadml.cli import cli, main
 from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
+from cadml.feature_selection import EVALUATORS
 from cadml.tuning import default_grids, default_scaling
 
 from conftest import DATA_PATH
@@ -260,8 +264,9 @@ def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, ed
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
 def test_value_too_large_to_score_is_data_error(tmp_path, capsys, algorithm):
-    """MaxHeart = 1e200 overflows when squared; predict and CV on such a value
-    stop with a data error instead of a numpy warning and a silent result."""
+    """MaxHeart = 1e200 overflows when squared; predict, CV, the wrapper subset
+    search and the correlation ranking on such a value stop with a data error
+    instead of a numpy warning and a silent result."""
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
     save_model(fit_model(ds, ALGORITHMS[algorithm].params(),
@@ -272,11 +277,16 @@ def test_value_too_large_to_score_is_data_error(tmp_path, capsys, algorithm):
     rows[0] = ",".join("1e200" if c == 7 else v for c, v in enumerate(rows[0].split(",")))
     huge.write_text("\n".join(rows) + "\n")
     for args in (["predict", "--model", str(model_path), "--record", "4,1e200,0,6.2,3,3,7"],
-                 ["cv", "--data", str(huge), "--algorithm", algorithm]):
+                 ["cv", "--data", str(huge), "--algorithm", algorithm],
+                 ["subset", "--data", str(huge)],
+                 ["rank", "--data", str(huge), "--evaluator", "correlation"]):
         assert run_cli(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "too large" in err
         assert "Warning" not in err and "Traceback" not in err
+    # information gain only compares and bins values, so nothing overflows
+    assert run_cli(["rank", "--data", str(huge), "--evaluator", "info_gain"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -411,3 +421,23 @@ def test_subset_fast_run(tmp_path):
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_predict_loads_no_training_module(nb_model_path):
+    """A fresh process that imports the CLI and runs predict never loads the
+    training modules, so the rank command spells out their evaluators."""
+    code = ("import sys\n"
+            "from cadml.cli import main\n"
+            "try:\n"
+            f"    main(['predict', '--model', {nb_model_path!r}, '--record', {GOOD_RECORD!r}])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print(*(m for m in sys.modules if m.startswith('cadml')), file=sys.stderr)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = set(proc.stderr.split())
+    assert proc.stdout.startswith("label=") and "cadml.classifiers" in loaded
+    assert not loaded & {"cadml.evaluation", "cadml.feature_selection", "cadml.tuning"}
+    (evaluator,) = [p for p in cli.commands["rank"].params if p.name == "evaluator"]
+    assert tuple(evaluator.type.choices) == EVALUATORS

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cadml.dataset import (
+    BINARY,
     CLEVELAND_SCHEMA,
     CONTINUOUS,
     Dataset,
     FeatureSchema,
     SELECTED_FEATURES,
+    _parse_cell,
+    _validate_values,
     binarize_target,
     drop_incomplete,
     fit_standardization,
@@ -142,6 +146,55 @@ def test_parse_features():
         parse_features(features + "\n\n\n" + features.replace(",6.0", ",5.0"),
                        CLEVELAND_SCHEMA)
     assert err.value.line_no == 4
+
+
+def cell_by_cell_parse_features(text, schema):
+    """The first parse_features, which parsed every cell with _parse_cell."""
+    rows, lines = [], []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != len(schema):
+            raise WrongFieldCount(line_no, len(schema), len(fields))
+        cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
+        if None in cells:
+            raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
+        rows.append(cells)
+        lines.append(line_no)
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    _validate_values(schema, X, lines)
+    return X
+
+
+def _outcome(parse, text, schema):
+    try:
+        return parse(text, schema)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+# padded and plain numbers, a value outside the binary column's {0, 1}, a
+# pair that overflows when summed, and every kind of bad cell
+TOKENS = ["0", "1", " 1 ", "\t0.5\u00a0", "-2.5e1", "1_0", "1e308", "?", " ? ",
+          "nan", "inf", "-inf", "1e400", "abc", "", " "]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.sampled_from(TOKENS), min_size=0, max_size=5), max_size=6))
+def test_parse_features_matches_cell_by_cell_parse(lines):
+    """Blank lines, wrong field counts and bad cells give the same array, or
+    the same exception and message, as parsing cell by cell."""
+    schema = (FeatureSchema("a", CONTINUOUS), FeatureSchema("b", CONTINUOUS),
+              FeatureSchema("c", BINARY, (0.0, 1.0)))
+    text = "\n".join(",".join(tokens) for tokens in lines)
+    got, want = (_outcome(parse, text, schema)
+                 for parse in (parse_features, cell_by_cell_parse_features))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 def test_cleveland_load(cleveland):

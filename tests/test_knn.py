@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import KNNParams, knn_fit
-from cadml.classifiers.knn import KNNModel
+from cadml.classifiers.knn import _CHUNK_ROWS, KNNModel
 from cadml.errors import TooFewRows
 
 from conftest import continuous_schema, make_dataset
@@ -32,16 +32,18 @@ def argsort_predict(model, Q):
 def test_argmin_selection_matches_stable_argsort(queries):
     """k passes of argmin pick the exemplars a stable sort puts first: on a
     lattice full of distance ties, on Gaussian points, and where squared
-    differences overflow to inf, even in every distance of a row."""
+    differences overflow to inf, even in every distance of a row. The
+    queries fill two blocks of rows and part of a third."""
     rng = np.random.default_rng(17)
+    n = 2 * _CHUNK_ROWS + 22
     for width in range(1, 16):
         if queries == "lattice":
             X = rng.integers(0, 3, size=(30, width)).astype(float)
-            Q = rng.integers(0, 3, size=(45, width)).astype(float)
+            Q = rng.integers(0, 3, size=(n, width)).astype(float)
         elif queries == "gaussian":
-            X, Q = rng.normal(size=(30, width)), rng.normal(size=(45, width)) * 2
+            X, Q = rng.normal(size=(30, width)), rng.normal(size=(n, width)) * 2
         else:
-            X, Q = rng.normal(size=(30, width)) * 1e154, rng.normal(size=(45, width)) * 1e155
+            X, Q = rng.normal(size=(30, width)) * 1e154, rng.normal(size=(n, width)) * 1e155
             Q[::3] = 1e200
         y = rng.integers(0, 2, 30)
         for k in (1, 3, 5, 7, 9, 15):
@@ -61,7 +63,7 @@ def test_matches_oracle_random():
     X = rng.normal(size=(40, 3))
     y = rng.integers(0, 2, 40)
     for k in (1, 3, 5, 9):
-        # 200 queries: many full blocks of rows and a partial last one
+        # 200 queries: three full blocks of rows and a partial fourth
         Q = rng.normal(size=(200, 3)) * 2
         assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
             [oracle_predict(X, y, k, q) for q in Q]
