@@ -33,6 +33,7 @@ from .dataset import (
     load_dataset,
     parse_csv,
     parse_features,
+    read_text,
     select_columns,
 )
 from .errors import DataError, TrainingError
@@ -215,7 +216,15 @@ data_option = click.option("--data", "data_path", required=True,
                            help="Cleveland-layout CSV.")
 header_option = click.option("--header", is_flag=True, default=False,
                              help="First line names the columns.")
-folds_option = click.option("--folds", default=DEFAULT_FOLDS, show_default=True, type=int)
+folds_option = click.option("--folds", default=DEFAULT_FOLDS, show_default=True,
+                            type=click.IntRange(min=2))
+_SEED = click.IntRange(min=0)  # the fold shuffle's Philox generator takes no negative seed
+
+
+def _finite(ctx, param, value):
+    if not np.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
 
 
 def _emits_report(fn):
@@ -276,8 +285,7 @@ def cli():
 @_emits_report
 def inspect(data_path, header):
     """Summarize the dataset: rows parsed/dropped/kept, ranges, class balance."""
-    with open(data_path, "r", encoding="utf-8") as fh:
-        raw = parse_csv(fh.read(), CLEVELAND_SCHEMA, header=header)
+    raw = parse_csv(read_text(data_path), CLEVELAND_SCHEMA, header=header)
     return inspect_report(raw, {"data": str(data_path), "header": header})
 
 
@@ -295,9 +303,10 @@ def rank(ds, config, evaluator):
 @data_option
 @header_option
 @folds_option
-@click.option("--seed", default=SUBSET_SEED, show_default=True, type=int)
-@click.option("--stale-limit", default=5, show_default=True, type=int)
-@click.option("--min-improvement", default=0.005, show_default=True, type=float,
+@click.option("--seed", default=SUBSET_SEED, show_default=True, type=_SEED)
+@click.option("--stale-limit", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--min-improvement", default=0.005, show_default=True,
+              type=click.FloatRange(min=0), callback=_finite,
               help="Smallest CV-accuracy gain that counts as progress.")
 @_emits_report
 def subset(data_path, header, folds, seed, stale_limit, min_improvement):
@@ -310,7 +319,7 @@ def subset(data_path, header, folds, seed, stale_limit, min_improvement):
 def _algorithm_options(fn):
     fn = click.option("--algorithm", default="nb", show_default=True,
                       type=click.Choice(list(ALGORITHMS)))(fn)
-    fn = click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)(fn)
+    fn = click.option("--seed", default=DEFAULT_SEED, show_default=True, type=_SEED)(fn)
     fn = click.option("--no-scale", is_flag=True, default=False,
                       help="Disable z-scoring of continuous features.")(fn)
     return fn
@@ -359,7 +368,7 @@ def tune(ds, config, folds, algorithm, seed, no_scale, grid_json, model_out):
 @cli.command()
 @_loads_table(SELECTED_FEATURES)
 @folds_option
-@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=_SEED)
 @click.option("--no-scale", is_flag=True, default=False)
 @_emits_report
 def compare(ds, config, folds, seed, no_scale):
@@ -381,8 +390,7 @@ def predict(model_path, records, data_path):
     fitted = load_model(model_path)
     text = "".join(rec + "\n" for rec in records)
     if data_path:
-        with open(data_path, "r", encoding="utf-8") as fh:
-            text += fh.read()
+        text += read_text(data_path)
     X = parse_features(text, fitted.schema)
     if len(X) == 0:
         raise click.UsageError("no records given; use --record or --data")

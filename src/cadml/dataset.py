@@ -235,11 +235,17 @@ def _validate_values(schema, X, lines):
             raise DisallowedValue(lines[i], feat, float(X[i, j]))
 
 
+def read_text(path) -> str:
+    """The contents of a data file; a file that is not UTF-8 is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_dataset(path, schema=CLEVELAND_SCHEMA, header: bool = False) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    raw = parse_csv(text, schema, header=header)
-    return drop_incomplete(raw)
+    return drop_incomplete(parse_csv(read_text(path), schema, header=header))
 
 
 def select_columns(ds: Dataset, keep) -> Dataset:

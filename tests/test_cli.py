@@ -395,6 +395,32 @@ def test_exit_code_data_error(tmp_path):
     assert run_cli(["inspect", "--data", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_data_file_not_utf8_is_data_error(tmp_path, capsys, nb_model_path, command):
+    bad = tmp_path / "utf16.data"
+    bad.write_bytes(b"\xff\xfe" + Path(DATA_PATH).read_bytes())
+    if command == "predict":
+        args = ["predict", "--model", nb_model_path, "--data", str(bad)]
+    else:
+        args = [str(bad) if arg == DATA_PATH else arg for arg in COMMANDS[command]]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command,option,value", [
+    *((command, "--seed", "-1") for command in ("cv", "tune", "compare", "subset")),
+    *((command, "--folds", folds) for folds in ("0", "1")
+      for command in ("cv", "tune", "compare", "subset")),
+    ("subset", "--stale-limit", "0"),
+    *(("subset", "--min-improvement", value) for value in ("nan", "inf", "-inf", "-0.1")),
+])
+def test_out_of_range_number_is_usage_error(capsys, command, option, value):
+    assert run_cli([command, "--data", DATA_PATH, option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and option in err
+
+
 def test_exit_code_training_error(tmp_path):
     # 4 complete rows cannot be split into 10 folds
     src = open(DATA_PATH, "r", encoding="utf-8").read().splitlines()

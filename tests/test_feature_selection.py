@@ -8,8 +8,11 @@ from cadml.classifiers import KNNParams, NBParams, SVMParams, nb_fit
 from cadml.dataset import CATEGORICAL, CONTINUOUS, FeatureSchema, select_columns
 from cadml.errors import EmptyInput
 from cadml.evaluation import cross_validate, stratified_folds
+from cadml import feature_selection
 from cadml.feature_selection import (
     SubsetSearchResult,
+    _cut_gains,
+    _mdl_accepts,
     best_first_subset,
     correlation_score,
     discretize_mdl,
@@ -64,6 +67,99 @@ def test_discretize_mdl_cuts_inside_range(pairs):
     assert cuts == sorted(cuts)
     for c in cuts:
         assert values.min() < c < values.max()
+
+
+def oracle_discretize_mdl(values, labels) -> list[float]:
+    """discretize_mdl scoring each boundary cut on its own, with a boolean mask
+    and two entropy() calls: the reference the running-count scan must equal."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(values, kind="stable")
+    cuts = []
+    _oracle_mdl_recurse(values[order], labels[order], cuts)
+    return sorted(cuts)
+
+
+def _oracle_split_entropy(labels, mask) -> float:
+    n = len(labels)
+    left, right = labels[mask], labels[~mask]
+    h = 0.0
+    if left.size:
+        h += left.size / n * entropy(left)
+    if right.size:
+        h += right.size / n * entropy(right)
+    return h
+
+
+def _oracle_mdl_recurse(values, labels, cuts) -> None:
+    n = len(values)
+    if n < 2 or entropy(labels) == 0.0:
+        return
+    boundaries = np.flatnonzero(np.diff(values) > 0) + 1
+    if boundaries.size == 0:
+        return
+    base = entropy(labels)
+    best_gain, best_b = -1.0, -1
+    for b in boundaries:
+        mask = np.zeros(n, dtype=bool)
+        mask[:b] = True
+        gain = base - _oracle_split_entropy(labels, mask)
+        if gain > best_gain + 1e-12:
+            best_gain, best_b = gain, int(b)
+    left, right = labels[:best_b], labels[best_b:]
+    if not _mdl_accepts(labels, left, right, best_gain):
+        return
+    cuts.append(0.5 * (values[best_b - 1] + values[best_b]))
+    _oracle_mdl_recurse(values[:best_b], left, cuts)
+    _oracle_mdl_recurse(values[best_b:], right, cuts)
+
+
+@st.composite
+def mdl_columns(draw):
+    """A column of 1-300 values drawn from a pool of 1-300 whole numbers (a
+    narrow spread makes ties heavy, and a one-value pool a constant column) and
+    its labels, 1-3 distinct integers: each row takes the label of its value's
+    interval between random thresholds or, at a random noise rate, any label,
+    so that some cuts pass the MDL test and some do not. Past the two sizes, a
+    generator seeded by the draw makes the column, which keeps large columns
+    cheap."""
+    n, n_values = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = rng.choice(np.arange(-3, 10), size=rng.integers(1, 4), replace=False)
+    pool = np.round(rng.normal(scale=rng.choice([1.0, 10.0, 1e4]), size=n_values))
+    values = pool[rng.integers(0, n_values, size=n)]
+    thresholds = np.sort(rng.choice(pool, size=len(classes) - 1))
+    noisy = rng.random(n) < rng.choice([0.0, 0.1, 0.5, 1.0])
+    clean = classes[np.searchsorted(thresholds, values)]
+    return values, np.where(noisy, rng.choice(classes, size=n), clean)
+
+
+@given(mdl_columns())
+@settings(max_examples=200, deadline=None)
+def test_discretize_mdl_matches_per_cut_oracle(column):
+    values, labels = column
+    assert discretize_mdl(values, labels) == oracle_discretize_mdl(values, labels)
+
+
+@given(mdl_columns())
+@settings(max_examples=50, deadline=None)
+def test_cut_gains_equal_per_cut_oracle(column):
+    """Bit for bit, not only in the cut they lead to."""
+    values, labels = column
+    labels = labels[np.argsort(values, kind="stable")]
+    base, boundaries = entropy(labels), np.arange(1, len(labels))
+    expected = []
+    for b in boundaries:
+        mask = np.zeros(len(labels), dtype=bool)
+        mask[:b] = True
+        expected.append(base - _oracle_split_entropy(labels, mask))
+    assert _cut_gains(labels, boundaries, base).tolist() == expected
+
+
+def test_info_gain_ranking_matches_per_cut_oracle(cleveland, monkeypatch):
+    ranked = rank_features(cleveland, "info_gain")
+    monkeypatch.setattr(feature_selection, "discretize_mdl", oracle_discretize_mdl)
+    assert ranked == rank_features(cleveland, "info_gain")
 
 
 def test_info_gain_perfect_feature():
