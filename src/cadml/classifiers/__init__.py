@@ -23,7 +23,7 @@ from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, svm_fit
 __all__ = [
     "NBParams", "KNNParams", "SVMParams", "HyperParams", "params_from_dict",
     "NBModel", "KNNModel", "SVMModel", "FittedModel", "ALGORITHMS",
-    "nb_fit", "knn_fit", "svm_fit", "fit_model",
+    "nb_fit", "knn_fit", "svm_fit", "fit_model", "TrainingSet",
     "rbf_gram", "dual_objective", "kkt_residuals",
     "load_model", "save_model",
 ]
@@ -47,14 +47,20 @@ def params_from_dict(d) -> HyperParams:
 
 
 @contextmanager
-def _overflow_is_data_error():
+def _overflow_is_data_error(params: HyperParams | None = None):
     """A feature value so large that numpy overflows on it (1e200 squared) is
-    a data error, not a warning and an inf."""
+    a data error, not a warning and an inf. Inside a model's fit or scoring,
+    given its params, the hyperparameters can be the cause (a bandwidth of
+    1e-308), so the error names them."""
     try:
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        raise DataError(f"a feature value is too large ({exc})") from None
+        if params is None:
+            raise DataError(f"a feature value is too large ({exc})") from None
+        raise DataError(f"a feature value or hyperparameter is too large: the "
+                        f"{params.algorithm} model with {params.to_dict()} overflowed "
+                        f"({exc})") from None
 
 
 class FittedModel:
@@ -72,14 +78,18 @@ class FittedModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.schema):
             raise LengthMismatch(len(self.schema), X.shape)
-        return self.scaling.apply(X) if self.scaling is not None else X
+        if self.scaling is None:
+            return X
+        with _overflow_is_data_error():
+            return self.scaling.apply(X)
 
     def predict(self, x) -> int:
         return int(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_batch(self, X) -> np.ndarray:
-        with _overflow_is_data_error():
-            return self.model.predict_batch(self._transform(X))
+        X = self._transform(X)
+        with _overflow_is_data_error(self.model.params):
+            return self.model.predict_batch(X)
 
     def posterior(self, x):
         """Class-probability vector of one row; only naive Bayes supplies one."""
@@ -90,8 +100,9 @@ class FittedModel:
         """Class-probability rows of X, shape (n, 2); None unless naive Bayes."""
         if not isinstance(self.model, NBModel):
             return None
-        with _overflow_is_data_error():
-            return self.model.posterior_batch(self._transform(X))
+        X = self._transform(X)
+        with _overflow_is_data_error(self.model.params):
+            return self.model.posterior_batch(X)
 
     def to_dict(self):
         d = {
@@ -124,15 +135,36 @@ class FittedModel:
         return cls(model=model, schema=schema, scaling=scaling)
 
 
+class TrainingSet:
+    """Training rows, z-scored once if scaling, that any number of candidates
+    are fitted on. SVM candidates that share a sigma share one Gram matrix,
+    which the set holds for as long as it lives."""
+
+    def __init__(self, ds: Dataset, scaling: bool = False):
+        self.schema = ds.schema
+        with _overflow_is_data_error():
+            self.rows, self.stats = standardize(ds) if scaling else (ds, None)
+        self._grams = {}
+
+    def fit(self, params: HyperParams) -> FittedModel:
+        # looked up per call, not stored in ALGORITHMS, so that instrumentation
+        # that replaces these module attributes (perfbench/spans.py) sees the fits
+        fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]
+        with _overflow_is_data_error(params):
+            shared = {"gram": self._gram(params.sigma)} if params.algorithm == "svm" else {}
+            return FittedModel(model=fit(self.rows, params, **shared), schema=self.schema,
+                               scaling=self.stats)
+
+    def _gram(self, sigma: float) -> np.ndarray:
+        if sigma not in self._grams:
+            self._grams[sigma] = rbf_gram(self.rows.X, self.rows.X, sigma)
+        return self._grams[sigma]
+
+
 def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False) -> FittedModel:
     """Fit the classifier selected by params, optionally z-scoring continuous
     features first (stats computed from ds itself)."""
-    # looked up per call, not stored in ALGORITHMS, so that instrumentation
-    # that replaces these module attributes (perfbench/spans.py) sees the fits
-    fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]
-    with _overflow_is_data_error():
-        train, stats = standardize(ds) if scaling else (ds, None)
-        return FittedModel(model=fit(train, params), schema=ds.schema, scaling=stats)
+    return TrainingSet(ds, scaling).fit(params)
 
 
 def save_model(fitted: FittedModel, path) -> None:

@@ -93,3 +93,12 @@ class TooFewPerClass(TrainingError):
 
 class AllCandidatesFailed(TrainingError):
     pass
+
+
+class NotConverged(TrainingError):
+    def __init__(self, C, sigma, steps):
+        self.C = C
+        self.sigma = sigma
+        self.steps = steps
+        super().__init__(f"the SVM with C={C!r}, sigma={sigma!r} did not converge "
+                         f"in {steps} SMO steps")

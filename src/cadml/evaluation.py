@@ -5,6 +5,10 @@ shuffles each class with a counter-based Philox generator seeded from the run
 seed plus the class label, then deals rows round-robin starting where the
 previous class left off, so fold sizes and per-class counts stay balanced and
 identical inputs and seed always give the identical partition.
+
+Cross-validation is fold-major: each training fold is z-scored once, and
+every candidate is fitted on it (SVM candidates that share a sigma on one
+Gram matrix) before the next fold; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
@@ -12,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import HyperParams, fit_model
+from .classifiers import HyperParams, TrainingSet
 from .dataset import Dataset
-from .errors import EmptyMatrix, LengthMismatch, TooFewPerClass
+from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
 
 
 @dataclass(frozen=True)
@@ -135,22 +139,50 @@ class CVResult:
         }
 
 
+def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
+                              scaling: bool = False) -> list:
+    """Leakage-free CV of each candidate on the same folds: scaling stats and
+    the models are fit on the k-1 training folds only, then applied to the
+    held-out fold. Returns, per candidate, its CVResult or the CadmlError of
+    the first fold it failed on; a failed candidate is not fitted again. An
+    error is kept without its traceback, whose frames would hold the fold's
+    Gram matrices."""
+    per_fold = [[] for _ in candidates]
+    pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
+    failed = {}
+    for f in range(folds.k):
+        live = [c for c in range(len(candidates)) if c not in failed]
+        if not live:
+            break
+        test_idx = folds.test_indices(f)
+        X_test, y_test = ds.X[test_idx], ds.y[test_idx]
+        try:
+            train = TrainingSet(ds.subset_rows(folds.train_indices(f)), scaling)
+        except CadmlError as exc:
+            failed.update(dict.fromkeys(live, exc.with_traceback(None)))
+            break
+        for c in live:
+            try:
+                predicted = train.fit(candidates[c]).predict_batch(X_test)
+            except CadmlError as exc:
+                failed[c] = exc.with_traceback(None)
+                continue
+            cm = confusion(predicted, y_test)
+            per_fold[c].append(metrics(cm))
+            pooled[c] = pooled[c] + cm
+    return [failed[c] if c in failed else
+            CVResult(per_fold=tuple(per_fold[c]), pooled=metrics(pooled[c]),
+                     mean_accuracy=float(np.mean([r.accuracy for r in per_fold[c]])),
+                     folds=folds)
+            for c in range(len(candidates))]
+
+
 def cross_validate(ds: Dataset, params: HyperParams, k: int, seed: int,
                    scaling: bool = False, folds: FoldAssignment | None = None) -> CVResult:
-    """Leakage-free k-fold CV: scaling stats and the model are fit on the
-    k-1 training folds only, then applied to the held-out fold."""
+    """cross_validate_candidates of params alone; raises its error."""
     if folds is None:
         folds = stratified_folds(ds.y, k, seed)
-    per_fold = []
-    pooled = ConfusionMatrix(0, 0, 0, 0)
-    for f in range(folds.k):
-        train = ds.subset_rows(folds.train_indices(f))
-        test_idx = folds.test_indices(f)
-        fitted = fit_model(train, params, scaling=scaling)
-        predicted = fitted.predict_batch(ds.X[test_idx])
-        cm = confusion(predicted, ds.y[test_idx])
-        per_fold.append(metrics(cm))
-        pooled = pooled + cm
-    mean_accuracy = float(np.mean([r.accuracy for r in per_fold]))
-    return CVResult(per_fold=tuple(per_fold), pooled=metrics(pooled),
-                    mean_accuracy=mean_accuracy, folds=folds)
+    (result,) = cross_validate_candidates(ds, (params,), folds, scaling)
+    if isinstance(result, CadmlError):
+        raise result
+    return result

@@ -2,7 +2,11 @@
 
 All candidates within one search share a single fold assignment so they are
 compared on identical splits; selection goes to the highest mean CV accuracy
-with ties broken by grid declaration order. The winner is refit on all rows.
+with ties broken by grid declaration order. The loop is fold-major
+(evaluation.cross_validate_candidates): each training fold is z-scored once,
+one Gram matrix is built per distinct SVM sigma, and every candidate is
+fitted on them; the fold's matrices are released before the winner is refit
+on all rows.
 """
 from __future__ import annotations
 
@@ -20,8 +24,8 @@ from .classifiers import (
     fit_model,
 )
 from .dataset import Dataset
-from .errors import AllCandidatesFailed, TrainingError
-from .evaluation import CVResult, FoldAssignment, cross_validate, stratified_folds
+from .errors import AllCandidatesFailed, CadmlError, TrainingError
+from .evaluation import CVResult, FoldAssignment, cross_validate_candidates, stratified_folds
 
 
 @dataclass(frozen=True)
@@ -78,12 +82,13 @@ def grid_search(ds: Dataset, grid: Grid, k: int, seed: int,
     per_candidate = []
     results = []
     errors = []
-    for params in grid.candidates:
-        try:
-            cv = cross_validate(ds, params, k, seed, scaling=scaling, folds=folds)
-        except TrainingError as exc:
-            errors.append((params, exc))
+    outcomes = cross_validate_candidates(ds, grid.candidates, folds, scaling)
+    for params, cv in zip(grid.candidates, outcomes):
+        if isinstance(cv, TrainingError):
+            errors.append((params, cv))
             continue
+        if isinstance(cv, CadmlError):
+            raise cv  # a data error stops the search, in candidate order
         per_candidate.append((params, cv.mean_accuracy))
         results.append(cv)
     if not per_candidate:

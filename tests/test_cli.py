@@ -289,6 +289,43 @@ def test_value_too_large_to_score_is_data_error(tmp_path, capsys, algorithm):
     assert capsys.readouterr().err == ""
 
 
+def test_overflowing_hyperparameter_is_named(tmp_path, capsys):
+    """An overflow inside a model names its algorithm and hyperparameters,
+    here a bandwidth of 1e-308 on ordinary feature values (exit 2); one while
+    z-scoring the training rows keeps the feature-value message."""
+    grid = ('[{"algorithm":"nb","use_kernel_density":true,"laplace":0,'
+            '"bandwidth_adjust":1e-308}]')
+    assert run_cli(["tune", "--data", DATA_PATH, "--algorithm", "nb", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "data error: a feature value or hyperparameter is too large: the nb model with "
+        "{'algorithm': 'nb', 'use_kernel_density': True, 'laplace': 0.0, "
+        "'bandwidth_adjust': 1e-308} overflowed (")
+    huge = tmp_path / "huge.data"
+    rows = Path(DATA_PATH).read_text().splitlines()
+    rows[0] = ",".join("1e200" if c == 7 else v for c, v in enumerate(rows[0].split(",")))
+    huge.write_text("\n".join(rows) + "\n")
+    assert run_cli(["cv", "--data", str(huge), "--algorithm", "svm"]) == 2
+    assert capsys.readouterr().err.startswith("data error: a feature value is too large (")
+
+
+def test_svm_that_does_not_converge_is_training_error():
+    """C = 1e300 with sigma = 1e-300 makes every kernel entry 1.0, and SMO
+    never meets its stopping test. The first fold's fit stops at the cap of
+    500 steps per training row, and tune exits 3 with a message naming C,
+    sigma and the step count, not a traceback. This takes about 3 s on a
+    2-core host, against a 60 s limit (without the cap it ran past 5 minutes)."""
+    grid = '[{"algorithm":"svm","C":1e300,"sigma":1e-300}]'
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "cadml.cli", "tune", "--data", DATA_PATH,
+                           "--algorithm", "svm", "--grid", grid],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    assert ("the SVM with C=1e+300, sigma=1e-300 did not converge in 133500 SMO steps"
+            in proc.stderr)
+
+
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
 def test_predict_data_matches_predict_batch(tmp_path, algorithm):
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)

@@ -1,13 +1,23 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml.classifiers import KNNParams, NBParams, SVMParams, params_from_dict
-from cadml.errors import AllCandidatesFailed
+from cadml.classifiers import KNNParams, NBParams, SVMParams, fit_model, params_from_dict
+from cadml.errors import AllCandidatesFailed, DataError, TrainingError
+from cadml.evaluation import (
+    ConfusionMatrix,
+    CVResult,
+    confusion,
+    cross_validate,
+    metrics,
+    stratified_folds,
+)
 from cadml.tuning import (
     Grid,
+    TuneResult,
     compare_models,
     default_grids,
     default_scaling,
@@ -121,3 +131,87 @@ def test_params_from_dict_reads_json_numbers():
     assert params_from_dict({"algorithm": "knn", "k": 3.0}) == KNNParams(k=3)
     with pytest.raises(ValueError):
         params_from_dict({"algorithm": "svm", "C": 10**400, "sigma": 0.5})
+
+
+def per_fold_cross_validate(ds, params, folds, scaling):
+    """CV as first written: fit_model on each training fold, which z-scores
+    the fold and, for an SVM, builds its Gram matrix again for every call."""
+    per_fold, pooled = [], ConfusionMatrix(0, 0, 0, 0)
+    for f in range(folds.k):
+        fitted = fit_model(ds.subset_rows(folds.train_indices(f)), params, scaling=scaling)
+        test_idx = folds.test_indices(f)
+        cm = confusion(fitted.predict_batch(ds.X[test_idx]), ds.y[test_idx])
+        per_fold.append(metrics(cm))
+        pooled = pooled + cm
+    return CVResult(per_fold=tuple(per_fold), pooled=metrics(pooled),
+                    mean_accuracy=float(np.mean([r.accuracy for r in per_fold])), folds=folds)
+
+
+def candidate_major_search(ds, grid, k, seed):
+    """grid_search as first written: each candidate cross-validated on its
+    own, a TrainingError dropping it, then the first best refit."""
+    scaling = default_scaling(grid.algorithm)
+    folds = stratified_folds(ds.y, k, seed)
+    per_candidate, results, errors = [], [], []
+    for params in grid.candidates:
+        try:
+            cv = per_fold_cross_validate(ds, params, folds, scaling)
+        except TrainingError as exc:
+            errors.append((params, exc))
+            continue
+        per_candidate.append((params, cv.mean_accuracy))
+        results.append(cv)
+    if not per_candidate:
+        raise AllCandidatesFailed(f"every candidate failed: {errors}")
+    best_idx = int(np.argmax([acc for _, acc in per_candidate]))
+    best = per_candidate[best_idx][0]
+    return TuneResult(per_candidate=tuple(per_candidate), best=best,
+                      best_cv=results[best_idx], final_model=fit_model(ds, best, scaling=scaling))
+
+
+def outcome(search, *args):
+    """The report and final-model JSON of a search, or its error."""
+    try:
+        result = search(*args)
+    except (TrainingError, DataError) as exc:
+        return type(exc).__name__, str(exc)
+    return (json.dumps(result.to_dict(), sort_keys=True),
+            json.dumps(result.final_model.to_dict(), sort_keys=True))
+
+
+EQUIVALENCE_GRIDS = {
+    **{name: ("7", grid) for name, grid in default_grids().items()},
+    "svm-two-sigmas": ("13", Grid("svm", (SVMParams(C=0.5, sigma=0.05), SVMParams(C=2.0, sigma=0.2),
+                                          SVMParams(C=1.0, sigma=0.05)))),
+    # a training fold holds 267 or 268 rows, too few for k = 269
+    "knn-one-fails": ("7", Grid("knn", (KNNParams(k=3), KNNParams(k=269), KNNParams(k=7)))),
+    "knn-all-fail": ("7", Grid("knn", (KNNParams(k=269), KNNParams(k=301)))),
+    # the second candidate's bandwidth overflows; the error names it
+    "nb-overflows": ("7", Grid("nb", (NBParams(), NBParams(True, 0.0, 1e-308)))),
+}
+
+
+@pytest.mark.parametrize("seed", [2018, 1])
+@pytest.mark.parametrize("name", list(EQUIVALENCE_GRIDS))
+def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleveland7):
+    """The fold-major search gives the candidate-major one's report, final
+    model and errors, byte for byte, and cross_validate each candidate's CV."""
+    width, grid = EQUIVALENCE_GRIDS[name]
+    ds = {"7": cleveland7, "13": cleveland}[width]
+    got = outcome(grid_search, ds, grid, 10, seed)
+    assert got == outcome(candidate_major_search, ds, grid, 10, seed)
+    if name == "knn-one-fails":
+        report = json.loads(got[0])
+        assert [c["params"]["k"] for c in report["candidates"]] == [3, 7]
+    elif name == "knn-all-fail":
+        assert got == ("AllCandidatesFailed", "every candidate failed: ["
+                       "(KNNParams(k=269), TooFewRows('k=269 exceeds 267 exemplars')), "
+                       "(KNNParams(k=301), TooFewRows('k=301 exceeds 267 exemplars'))]")
+    elif name == "nb-overflows":
+        assert got[0] == "DataError" and "'bandwidth_adjust': 1e-308" in got[1]
+    elif name in default_grids():
+        folds = stratified_folds(ds.y, 10, seed)
+        scaling = default_scaling(grid.algorithm)
+        for params in grid.candidates:
+            assert (cross_validate(ds, params, 10, seed, scaling=scaling).to_dict()
+                    == per_fold_cross_validate(ds, params, folds, scaling).to_dict())
