@@ -137,28 +137,23 @@ class FittedModel:
 
 class TrainingSet:
     """Training rows, z-scored once if scaling, that any number of candidates
-    are fitted on. SVM candidates that share a sigma share one Gram matrix,
-    which the set holds for as long as it lives."""
+    are fitted on."""
 
     def __init__(self, ds: Dataset, scaling: bool = False):
         self.schema = ds.schema
         with _overflow_is_data_error():
             self.rows, self.stats = standardize(ds) if scaling else (ds, None)
-        self._grams = {}
 
-    def fit(self, params: HyperParams) -> FittedModel:
+    def fit(self, params: HyperParams, solved=None) -> FittedModel:
+        """solved, for an SVM, is its problem already solved on these rows
+        (svm.solve_lockstep); without it the fit solves its own."""
         # looked up per call, not stored in ALGORITHMS, so that instrumentation
         # that replaces these module attributes (perfbench/spans.py) sees the fits
         fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]
         with _overflow_is_data_error(params):
-            shared = {"gram": self._gram(params.sigma)} if params.algorithm == "svm" else {}
-            return FittedModel(model=fit(self.rows, params, **shared), schema=self.schema,
+            extra = {} if solved is None else {"solved": solved}
+            return FittedModel(model=fit(self.rows, params, **extra), schema=self.schema,
                                scaling=self.stats)
-
-    def _gram(self, sigma: float) -> np.ndarray:
-        if sigma not in self._grams:
-            self._grams[sigma] = rbf_gram(self.rows.X, self.rows.X, sigma)
-        return self._grams[sigma]
 
 
 def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False) -> FittedModel:

@@ -6,9 +6,11 @@ seed plus the class label, then deals rows round-robin starting where the
 previous class left off, so fold sizes and per-class counts stay balanced and
 identical inputs and seed always give the identical partition.
 
-Cross-validation is fold-major: each training fold is z-scored once, and
-every candidate is fitted on it (SVM candidates that share a sigma on one
-Gram matrix) before the next fold; cross_validate is its one-candidate case.
+Cross-validation is fold-major: folds go in groups of up to five (a 3 MB
+budget for the group's Gram matrices), each training fold is z-scored once,
+the SVM problems of a group that share a sigma are solved in lockstep
+(svm.smo_lockstep), and every candidate is fitted on the group's folds
+before the next group; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
@@ -17,8 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import HyperParams, TrainingSet
+from .classifiers.svm import solve_lockstep
 from .dataset import Dataset
 from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
+
+# a fold group's zero-padded Gram stack holds at most this many bytes: 5
+# folds of 268 rows; all 10 in one group ran faster but held 5 MB more
+_GRAM_STACK_BYTES = 3 << 20
+# below this many (fold, C) problems per sigma in a group, solving them one
+# at a time is faster than in lockstep
+_LOCKSTEP_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -146,35 +156,75 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
     held-out fold. Returns, per candidate, its CVResult or the CadmlError of
     the first fold it failed on; a failed candidate is not fitted again. An
     error is kept without its traceback, whose frames would hold the fold's
-    Gram matrices."""
+    Gram matrices.
+
+    Folds go in groups whose zero-padded Gram stack fits _GRAM_STACK_BYTES;
+    the SVM problems of a group that share a sigma are solved in lockstep
+    (_solve_svm_group) before its models are built fold by fold."""
     per_fold = [[] for _ in candidates]
     pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
     failed = {}
-    for f in range(folds.k):
+    n_train = len(ds.y) - int(np.bincount(folds.fold_of_row).min())
+    group = max(1, _GRAM_STACK_BYTES // (8 * n_train * n_train))
+    for start in range(0, folds.k, group):
         live = [c for c in range(len(candidates)) if c not in failed]
         if not live:
             break
-        test_idx = folds.test_indices(f)
-        X_test, y_test = ds.X[test_idx], ds.y[test_idx]
-        try:
-            train = TrainingSet(ds.subset_rows(folds.train_indices(f)), scaling)
-        except CadmlError as exc:
-            failed.update(dict.fromkeys(live, exc.with_traceback(None)))
-            break
-        for c in live:
+        trains, error = [], None
+        for f in range(start, min(start + group, folds.k)):
             try:
-                predicted = train.fit(candidates[c]).predict_batch(X_test)
+                trains.append(TrainingSet(ds.subset_rows(folds.train_indices(f)), scaling))
             except CadmlError as exc:
-                failed[c] = exc.with_traceback(None)
-                continue
-            cm = confusion(predicted, y_test)
-            per_fold[c].append(metrics(cm))
-            pooled[c] = pooled[c] + cm
+                error = exc.with_traceback(None)
+                break
+        solved = _solve_svm_group(trains, start, candidates, live)
+        for f, train in enumerate(trains, start):
+            test_idx = folds.test_indices(f)
+            X_test, y_test = ds.X[test_idx], ds.y[test_idx]
+            for c in live:
+                if c in failed:
+                    continue
+                try:
+                    predicted = train.fit(candidates[c], solved.get((f, c))).predict_batch(X_test)
+                except CadmlError as exc:
+                    failed[c] = exc.with_traceback(None)
+                    continue
+                cm = confusion(predicted, y_test)
+                per_fold[c].append(metrics(cm))
+                pooled[c] = pooled[c] + cm
+        del solved  # the group's Gram stack goes before the next group's is built
+        if error is not None:
+            failed.update(dict.fromkeys([c for c in live if c not in failed], error))
+            break
     return [failed[c] if c in failed else
             CVResult(per_fold=tuple(per_fold[c]), pooled=metrics(pooled[c]),
                      mean_accuracy=float(np.mean([r.accuracy for r in per_fold[c]])),
                      folds=folds)
             for c in range(len(candidates))]
+
+
+def _solve_svm_group(trains, start: int, candidates, live) -> dict:
+    """(fold, candidate) -> solved SVM problem, for each sigma with at least
+    _LOCKSTEP_MIN (fold, C) problems in the group; the others are solved one
+    at a time by their fits. An overflow leaves its sigma's problems to
+    those fits too, so that the error names its candidate."""
+    by_sigma = {}
+    for c in live:
+        if candidates[c].algorithm == "svm":
+            by_sigma.setdefault(candidates[c].sigma, []).append(c)
+    solved = {}
+    for sigma, cs in by_sigma.items():
+        if len(trains) * len(cs) < _LOCKSTEP_MIN:
+            continue
+        try:
+            with np.errstate(over="raise"):
+                grid = solve_lockstep([t.rows for t in trains], sigma,
+                                      [candidates[c].C for c in cs])
+        except FloatingPointError:
+            continue
+        for f, row in enumerate(grid, start):
+            solved.update(((f, c), problem) for c, problem in zip(cs, row) if problem is not None)
+    return solved
 
 
 def cross_validate(ds: Dataset, params: HyperParams, k: int, seed: int,

@@ -255,10 +255,13 @@ def test_cli_determinism(tmp_path):
 
 # sha256 of `tune --algorithm svm` and `compare` JSON and of the model file
 # `tune --algorithm svm --save-model` writes, at the defaults (seed 2018, the
-# 7-feature view), recorded before the grid search became fold-major. They
-# hold for the numpy 2.4.6 / OpenBLAS build on x86-64 they were recorded with;
-# another BLAS kernel can change the last bits of an SVM's numbers.
+# 7-feature view), recorded before the grid search became fold-major, and of
+# `cv --algorithm svm` JSON, recorded before its grid search solved the SVM
+# folds in lockstep (a one-candidate cv keeps solving them one at a time).
+# They hold for the numpy 2.4.6 / OpenBLAS build on x86-64 they were recorded
+# with; another BLAS kernel can change the last bits of an SVM's numbers.
 PINNED_SHA256 = {
+    "cv": "51de2ba84ae431fd72d22dabbc45932f7d59e206ca78b8afcba2930447337545",
     "tune": "d9284aee13f9786d334d1612cb15cc52a5d2bf64c59919d121ab1be18c81a2d6",
     "compare": "d6eb32de7f04e57cb6c238e6d862c8583c8e19f2d3c21fe8613aa7ff14bf5efa",
     "model": "76064fda0310e9221de6f13cbda9a6b12f032e46773a00385930543143ecf653",
@@ -271,6 +274,8 @@ def test_svm_outputs_pinned(tmp_path):
     _run_cli(["tune", "--data", DATA_PATH, "--algorithm", "svm", "--format", "json",
               "--out", str(paths["tune"]), "--save-model", str(paths["model"])])
     _run_cli(["compare", "--data", DATA_PATH, "--format", "json", "--out", str(paths["compare"])])
+    _run_cli(["cv", "--data", DATA_PATH, "--algorithm", "svm", "--format", "json",
+              "--out", str(paths["cv"])])
     assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
             for name, p in paths.items()} == PINNED_SHA256
 

@@ -3,18 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml import tuning
-from cadml.classifiers import SVMParams, fit_model, svm, svm_fit
+from cadml.classifiers import SVMParams, TrainingSet, fit_model, svm, svm_fit
 from cadml.classifiers.svm import (
     _ALPHA_EPS,
     _CHUNK_ROWS,
+    _STEPS_PER_ROW,
     SVMModel,
     dual_objective,
     kkt_residuals,
     rbf_gram,
     SMOResult,
     smo,
+    smo_lockstep,
+    solve_lockstep,
 )
 from cadml.errors import SingleClassData
+from cadml.evaluation import stratified_folds
 
 from conftest import continuous_schema, make_dataset
 
@@ -328,14 +332,26 @@ def duplicate_rows_instance():
     return [(rbf_gram(X, X, 0.5), y, C) for C in (1.0, 10.0)]
 
 
+def fold_sets(view, seed):
+    """The z-scored training sets of a 10-fold grid search on view."""
+    folds = stratified_folds(view.y, 10, seed)
+    return [TrainingSet(view.subset_rows(folds.train_indices(f)), scaling=True).rows
+            for f in range(10)]
+
+
+def labels(ds):
+    return np.where(ds.y == 1, 1.0, -1.0)
+
+
 @pytest.mark.parametrize("case", ["grid-7", "grid-13", "duplicate-rows", "large-c"])
 def test_smo_matches_seed_loop(case, cleveland, cleveland7, monkeypatch):
     """smo reproduces the first-written loop exactly: the same alpha, bias,
     convergence flag and objective after every step, so the same steps."""
     view = {"grid-7": cleveland7, "grid-13": cleveland}.get(case)
     if view is not None:  # the default SVM grid's 10-fold problems and refit
-        problems = smo_inputs(monkeypatch, lambda: tuning.grid_search(
-            view, tuning.default_grids()["svm"], 10, 2018))
+        sets = fold_sets(view, 2018) + [TrainingSet(view, scaling=True).rows]
+        problems = [(rbf_gram(ds.X, ds.X, p.sigma), labels(ds), p.C)
+                    for ds in sets for p in tuning.default_grids()["svm"].candidates]
     elif case == "duplicate-rows":
         problems = duplicate_rows_instance()
     else:  # the 14,416 steps of test_large_c_converges
@@ -347,3 +363,82 @@ def test_smo_matches_seed_loop(case, cleveland, cleveland7, monkeypatch):
         assert got.bias == want.bias
         assert got.converged == want.converged
         assert got.objective_trace == want.objective_trace
+
+
+def assert_same_solve(got, want):
+    """Equal alpha, and bias, flag and every objective as equal Python values."""
+    assert np.array_equal(got.alpha, want.alpha)
+    assert type(got.bias) is float and got.bias == want.bias
+    assert type(got.converged) is bool and got.converged == want.converged
+    assert all(type(v) is float for v in got.objective_trace)
+    assert got.objective_trace == want.objective_trace
+
+
+def lockstep(problems):
+    """smo_lockstep on (K, y, C) problems, each in its own zero-padded slot."""
+    n = max(len(y) for _, y, _ in problems)
+    K, y = np.zeros((len(problems), n, n)), np.zeros((len(problems), n))
+    for p, (K_p, y_p, _) in enumerate(problems):
+        K[p, :len(y_p), :len(y_p)], y[p, :len(y_p)] = K_p, y_p
+    return smo_lockstep(K, y, [C for _, _, C in problems], np.arange(len(problems)))
+
+
+def all_ones_instance(n, C):
+    """A kernel of ones: every pair takes the 1e-12 floor and r never moves,
+    so with a C that t = 2e12 per step cannot reach, the solve runs to its
+    cap of 500 n steps."""
+    return np.ones((n, n)), np.where(np.arange(n) % 2 == 0, 1.0, -1.0), C
+
+
+@pytest.mark.parametrize("case", ["grid-7-2018", "grid-7-1", "grid-13-2018", "grid-13-1"])
+def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
+    """The default grid's 30 fold problems, solved in lockstep in the grid
+    search's two groups of 5 folds x 3 C, padded to 268 rows where a fold
+    has 267, give smo's solve of each, bit for bit, on the same Gram matrix."""
+    width, seed = case.split("-")[1:]
+    sets = fold_sets({"7": cleveland7, "13": cleveland}[width], int(seed))
+    assert {len(ds.y) for ds in sets} == {267, 268}
+    grid = tuning.default_grids()["svm"].candidates
+    sigma, costs = grid[0].sigma, [p.C for p in grid]
+    for group in (sets[:5], sets[5:]):
+        for ds, row in zip(group, solve_lockstep(group, sigma, costs)):
+            K = rbf_gram(ds.X, ds.X, sigma)
+            for C, problem in zip(costs, row):
+                assert problem is not None
+                assert np.array_equal(problem[0], K)
+                assert_same_solve(problem[1], smo(K, labels(ds), C))
+
+
+def test_lockstep_matches_smo_on_mixed_batches():
+    """Batches of problems of different sizes and costs: duplicate rows that
+    take the 1e-12 floor, and kernels of ones that run to each problem's own
+    cap; a problem still running at 4 times the step by which half the batch
+    finished is handed back as None."""
+    rng = np.random.default_rng(23)
+    duplicates = duplicate_rows_instance()
+    small = [(*gram_and_labels(ds, params), params.C)
+             for ds, params in (random_instance(rng) for _ in range(3))]
+    capped = [all_ones_instance(6, 1e300), all_ones_instance(8, 1e300),
+              all_ones_instance(6, 1e200), all_ones_instance(8, 1e250)]
+    for (K, y, C), got in zip(duplicates + small, lockstep(duplicates + small)):
+        assert_same_solve(got, smo(K, y, C))
+    for (K, y, C), got in zip(capped, lockstep(capped)):
+        assert_same_solve(got, smo(K, y, C))
+        assert not got.converged
+        assert len(got.objective_trace) == _STEPS_PER_ROW * len(y)
+    got = lockstep(duplicates + small + [all_ones_instance(8, 1e300)])
+    assert got[-1] is None
+    for (K, y, C), res in zip(duplicates + small, got):
+        assert_same_solve(res, smo(K, y, C))
+
+
+def test_lockstep_overflow_raises_like_smo():
+    """A kernel whose curvature overflows raises under errstate in both
+    solvers, so a grid search can re-solve the group one problem at a time."""
+    K, y, C = all_ones_instance(6, 1.0)
+    K = K * 1e308
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            smo(K, y, C)
+        with pytest.raises(FloatingPointError):
+            lockstep([(K, y, C), all_ones_instance(6, 1.0)])

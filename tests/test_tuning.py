@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cadml import classifiers
 from cadml.classifiers import KNNParams, NBParams, SVMParams, fit_model, params_from_dict
 from cadml.errors import AllCandidatesFailed, DataError, TrainingError
 from cadml.evaluation import (
@@ -188,18 +189,56 @@ EQUIVALENCE_GRIDS = {
     "knn-all-fail": ("7", Grid("knn", (KNNParams(k=269), KNNParams(k=301)))),
     # the second candidate's bandwidth overflows; the error names it
     "nb-overflows": ("7", Grid("nb", (NBParams(), NBParams(True, 0.0, 1e-308)))),
+    # C = 1e8 does not converge within 500 n steps on the first failing fold
+    # (NotConverged), while the other two C of its sigma do; the three share
+    # each fold group's lockstep solve
+    "svm-one-does-not-converge": ("7", Grid("svm", (SVMParams(C=0.25), SVMParams(C=1e8),
+                                                   SVMParams(C=1.0)))),
+    # sigma = 1e308 overflows the Gram matrix; its group's lockstep solve
+    # gives way to one fit per problem, whose error names the first candidate
+    # of that sigma
+    "svm-one-sigma-overflows": ("7", Grid("svm", (
+        SVMParams(C=0.5), SVMParams(C=0.5, sigma=1e308), SVMParams(C=1.0, sigma=1e308),
+        SVMParams(C=1.0)))),
 }
 
 
-@pytest.mark.parametrize("seed", [2018, 1])
-@pytest.mark.parametrize("name", list(EQUIVALENCE_GRIDS))
-def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleveland7):
+def recorded_fit_errors(monkeypatch, search, *args):
+    """outcome(search, *args), and the text of each error svm_fit raised."""
+    errors, fit = [], classifiers.svm_fit
+
+    def recording_fit(*a, **kw):
+        try:
+            return fit(*a, **kw)
+        except Exception as exc:
+            errors.append(f"{type(exc).__name__}: {exc}")
+            raise
+
+    monkeypatch.setattr(classifiers, "svm_fit", recording_fit)
+    try:
+        return outcome(search, *args), errors
+    finally:
+        monkeypatch.undo()
+
+
+# both searches run a fold of C = 1e8 to the 133,500-step cap (about 2 s
+# each), so this grid runs at the paper seed only
+ONE_SEED_GRIDS = {"svm-one-does-not-converge"}
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in EQUIVALENCE_GRIDS
+                                        for seed in (2018, 1)
+                                        if seed == 2018 or name not in ONE_SEED_GRIDS])
+def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleveland7,
+                                                   monkeypatch):
     """The fold-major search gives the candidate-major one's report, final
     model and errors, byte for byte, and cross_validate each candidate's CV."""
     width, grid = EQUIVALENCE_GRIDS[name]
     ds = {"7": cleveland7, "13": cleveland}[width]
-    got = outcome(grid_search, ds, grid, 10, seed)
-    assert got == outcome(candidate_major_search, ds, grid, 10, seed)
+    got, fit_errors = recorded_fit_errors(monkeypatch, grid_search, ds, grid, 10, seed)
+    want, oracle_fit_errors = recorded_fit_errors(monkeypatch, candidate_major_search,
+                                                  ds, grid, 10, seed)
+    assert got == want
     if name == "knn-one-fails":
         report = json.loads(got[0])
         assert [c["params"]["k"] for c in report["candidates"]] == [3, 7]
@@ -209,6 +248,14 @@ def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleve
                        "(KNNParams(k=301), TooFewRows('k=301 exceeds 267 exemplars'))]")
     elif name == "nb-overflows":
         assert got[0] == "DataError" and "'bandwidth_adjust': 1e-308" in got[1]
+    elif name == "svm-one-does-not-converge":
+        # the dropped candidate failed on the same fold, after as many steps
+        report = json.loads(got[0])
+        assert [c["params"]["C"] for c in report["candidates"]] == [0.25, 1.0]
+        assert fit_errors == oracle_fit_errors
+        assert len(fit_errors) == 1 and "did not converge in" in fit_errors[0]
+    elif name == "svm-one-sigma-overflows":
+        assert got[0] == "DataError" and "'C': 0.5, 'sigma': 1e+308" in got[1]
     elif name in default_grids():
         folds = stratified_folds(ds.y, 10, seed)
         scaling = default_scaling(grid.algorithm)
