@@ -18,12 +18,15 @@ smo_lockstep takes smo's steps for a batch of problems at once, on one
 zero-padded stack of Gram matrices, with one numpy call per operation for
 the whole batch. A grid search solves every (fold, C) problem of a sigma in
 a group of folds that way, so the C values share each fold's kernel (the
-kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011). svm_fit takes a
-problem solved that way, or solves its own with smo.
+kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011). A problem still
+running after 50 steps per row, or long after half its batch finished, is
+handed back to be solved alone by smo, so no batch runs to smo's cap.
+svm_fit takes a problem solved in lockstep, or solves its own with smo.
 """
 from __future__ import annotations
 
 import math
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +39,12 @@ _ALPHA_EPS = 1e-12
 _CHUNK_ROWS = 1024  # SVMModel.decision holds a support-vectors x _CHUNK_ROWS Gram block
 _GRAM_ROWS = 16  # rbf_gram and smo add the squared norms or diagonals in blocks of this many rows
 _STEPS_PER_ROW = 500  # smo's default cap is this many steps per training row
-_HAND_BACK = 4  # smo_lockstep runs this many times the steps by which half its problems finished
+# smo_lockstep hands back a problem still running after this many steps per
+# row, a tenth of smo's cap, or at this many times the step by which half
+# its batch had finished, whichever comes first
+_LOCKSTEP_STEPS_PER_ROW = 50
+_HAND_BACK = 4
+_TOL = 1e-3  # the violation gap at which smo and smo_lockstep stop
 
 
 def rbf_gram(X, Y, sigma: float) -> np.ndarray:
@@ -80,7 +88,7 @@ class SMOResult(NamedTuple):
     objective_trace: list  # dual objective after each iteration
 
 
-def smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMOResult:
+def smo(K, y, C: float, tol: float = _TOL, max_iter: int | None = None) -> SMOResult:
     """Maximize the dual over 0 <= alpha <= C, sum(alpha * y) = 0.
 
     r = y - K (alpha * y) is the bias each point would need to sit on its
@@ -154,23 +162,24 @@ def smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMORe
     return SMOResult(np.array(alpha), 0.5 * (m + M), m - M < tol, trace)
 
 
-def smo_lockstep(K, y, C, fold, tol: float = 1e-3) -> list:
+def smo_lockstep(K, y, C, fold) -> list:
     """smo's steps for B problems at once, on (B, n) arrays, bit for bit.
 
     K is a (folds, n, n) stack of Gram matrices and y the (folds, n) labels,
     both zero-padded past each fold's rows; problem b is fold[b] with cost
-    C[b], and keeps smo's default cap of 500 steps per row of its fold.
-    R holds r over "up" (-inf elsewhere), r over "low" (+inf elsewhere) and
-    r, so padding rows are in neither set and one R -= step moves all three.
-    The curvature row (K_ii + K_jj) - 2 K_i is formed per step, not kept as
-    an n x n matrix. A finished problem is frozen with t = 0.
+    C[b]. R holds r over "up" (-inf elsewhere), r over "low" (+inf
+    elsewhere) and r, so padding rows are in neither set and one R -= step
+    moves all three. The curvature row (K_ii + K_jj) - 2 K_i is formed per
+    step, not kept as an n x n matrix. A finished problem is frozen with
+    t = 0.
 
     Returns one SMOResult per problem, or None for a problem still running
-    at _HAND_BACK times the step by which half of them had finished. Its
-    fit solves it alone with smo, whose step costs about a sixth of a
-    lockstep step, and the fit of a candidate that has already failed never
-    does; so one C that does not converge does not hold the other folds of
-    its group to the cap.
+    after _LOCKSTEP_STEPS_PER_ROW steps per row of its fold, or at
+    _HAND_BACK times the step by which half the batch had finished. Its fit
+    solves it alone with smo, whose step costs about a sixth of a lockstep
+    step, and the fit of a candidate that has already failed never does; so
+    a C that does not converge holds the batch for at most a tenth of smo's
+    cap, and one beside others that do for a few times their steps.
     """
     fold, C = np.asarray(fold), np.asarray(C, dtype=np.float64)[:, None]
     B, n = len(fold), y.shape[1]
@@ -181,7 +190,7 @@ def smo_lockstep(K, y, C, fold, tol: float = 1e-3) -> list:
     Y = y[fold]
     pos = Y > 0
     sizes = np.count_nonzero(Y, axis=1)
-    caps = _STEPS_PER_ROW * sizes
+    limits = _LOCKSTEP_STEPS_PER_ROW * sizes
     D = K[:, np.arange(n), np.arange(n)][fold]  # each problem's Gram diagonal
     R = np.empty((3, B, n))
     R[0], R[1], R[2] = np.where(pos, Y, -math.inf), np.where(Y < 0, Y, math.inf), Y
@@ -194,26 +203,27 @@ def smo_lockstep(K, y, C, fold, tol: float = 1e-3) -> list:
     hi, lo = np.where(pos, C, 0.0).ravel(), np.where(pos, 0.0, -C).ravel()
     up_below = np.where(pos, C - _ALPHA_EPS, -_ALPHA_EPS).ravel()
     low_above = np.where(pos, _ALPHA_EPS, _ALPHA_EPS - C).ravel()
-    # live_tol is tol while a problem runs and -inf once it is frozen
-    active, live_tol, out = np.ones(B, dtype=bool), np.full(B, tol), [None] * B
+    # live_tol is _TOL while a problem runs and -inf once it is frozen
+    active, live_tol, out = np.ones(B, dtype=bool), np.full(B, _TOL), [None] * B
     objective, b = np.zeros(B), np.empty((B, n))
     trace = np.empty((256, B))  # objective after each step, grown by doubling
-    next_cap, stop = caps.min(), caps.max()
-    for it in range(stop + 1):
+    next_limit = limits.min()
+    for it in range(limits.max() + 1):
         i = R[0].argmax(axis=1) + base
         m, M = R0.take(i), R1.take(R[1].argmin(axis=1) + base)
         gap = m - M
-        if it == next_cap or (gap < live_tol).any():
-            for p in np.flatnonzero(active & ((gap < tol) | (caps == it))):
+        if it == next_limit or (gap < live_tol).any():
+            done = active & (gap < _TOL)
+            for p in np.flatnonzero(done):
                 out[p] = SMOResult(np.abs(u[base[p]:base[p] + sizes[p]]),
-                                   0.5 * (m.item(p) + M.item(p)), gap.item(p) < tol,
-                                   trace[:it, p].tolist())
-                active[p], live_tol[p] = False, -math.inf
-            if 2 * active.sum() <= B:
-                stop = min(stop, _HAND_BACK * it)
-            if it == stop or not active.any():
+                                   0.5 * (m.item(p) + M.item(p)), True, trace[:it, p].tolist())
+            if 2 * (active & ~done).sum() <= B:
+                np.minimum(limits, _HAND_BACK * it, out=limits)
+            active &= ~done & (limits > it)
+            live_tol[~active] = -math.inf
+            if not active.any():
                 break
-            next_cap = min(caps[active].min(), stop)
+            next_limit = limits[active].min()
         np.subtract(m[:, None], R[1], out=b)
         np.maximum(b, 0.0, out=b)
         K_i = K_rows.take(i + K_off, axis=0)
@@ -310,7 +320,12 @@ def solve_lockstep(sets, sigma: float, costs) -> list:
     (Gram matrix, SMOResult) of sets[f] at costs[c], as svm_fit takes it,
     or None where smo_lockstep handed the problem back."""
     n = max(len(ds.y) for ds in sets)
-    K, y = np.zeros((len(sets), n, n)), np.zeros((len(sets), n))
+    # the stack is an anonymous mapping, zero-filled and unmapped when its
+    # last view goes; as a malloc block, the first freed stack would raise
+    # glibc's mmap threshold past the next one, which would then come from
+    # the heap and keep its pages after it is freed
+    K = np.frombuffer(mmap.mmap(-1, 8 * len(sets) * n * n)).reshape(len(sets), n, n)
+    y = np.zeros((len(sets), n))
     for f, ds in enumerate(sets):
         K[f, :len(ds.y), :len(ds.y)] = rbf_gram(ds.X, ds.X, sigma)
         y[f, :len(ds.y)] = np.where(ds.y == 1, 1.0, -1.0)

@@ -6,11 +6,12 @@ seed plus the class label, then deals rows round-robin starting where the
 previous class left off, so fold sizes and per-class counts stay balanced and
 identical inputs and seed always give the identical partition.
 
-Cross-validation is fold-major: folds go in groups of up to five (a 3 MB
-budget for the group's Gram matrices), each training fold is z-scored once,
-the SVM problems of a group that share a sigma are solved in lockstep
-(svm.smo_lockstep), and every candidate is fitted on the group's folds
-before the next group; cross_validate is its one-candidate case.
+Cross-validation is fold-major: folds go in groups of as many as fit a
+3 MB zero-padded Gram stack (5 on the 297-row Cleveland table; a smaller
+table batches more), each training fold is z-scored once, the SVM problems
+of a group that share a sigma are solved in lockstep (svm.smo_lockstep),
+and every candidate is fitted on the group's folds before the next group;
+cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
@@ -26,9 +27,6 @@ from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
 # a fold group's zero-padded Gram stack holds at most this many bytes: 5
 # folds of 268 rows; all 10 in one group ran faster but held 5 MB more
 _GRAM_STACK_BYTES = 3 << 20
-# below this many (fold, C) problems per sigma in a group, solving them one
-# at a time is faster than in lockstep
-_LOCKSTEP_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -204,17 +202,17 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
 
 
 def _solve_svm_group(trains, start: int, candidates, live) -> dict:
-    """(fold, candidate) -> solved SVM problem, for each sigma with at least
-    _LOCKSTEP_MIN (fold, C) problems in the group; the others are solved one
-    at a time by their fits. An overflow leaves its sigma's problems to
-    those fits too, so that the error names its candidate."""
+    """(fold, candidate) -> solved SVM problem, for each sigma with more
+    than one (fold, C) problem in the group; a lone problem, which has no
+    step to share, is solved by its fit. An overflow leaves its sigma's
+    problems to their fits too, so that the error names its candidate."""
     by_sigma = {}
     for c in live:
         if candidates[c].algorithm == "svm":
             by_sigma.setdefault(candidates[c].sigma, []).append(c)
     solved = {}
     for sigma, cs in by_sigma.items():
-        if len(trains) * len(cs) < _LOCKSTEP_MIN:
+        if len(trains) * len(cs) < 2:
             continue
         try:
             with np.errstate(over="raise"):

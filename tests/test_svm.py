@@ -385,8 +385,9 @@ def lockstep(problems):
 
 def all_ones_instance(n, C):
     """A kernel of ones: every pair takes the 1e-12 floor and r never moves,
-    so with a C that t = 2e12 per step cannot reach, the solve runs to its
-    cap of 500 n steps."""
+    so each step moves one pair by t = 2e12 until it reaches C; a solve
+    takes n / 2 * C / 2e12 steps for C a multiple of 2e12, and with C too
+    large for that runs to its cap of 500 n steps."""
     return np.ones((n, n)), np.where(np.arange(n) % 2 == 0, 1.0, -1.0), C
 
 
@@ -410,25 +411,43 @@ def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
 
 
 def test_lockstep_matches_smo_on_mixed_batches():
-    """Batches of problems of different sizes and costs: duplicate rows that
-    take the 1e-12 floor, and kernels of ones that run to each problem's own
-    cap; a problem still running at 4 times the step by which half the batch
-    finished is handed back as None."""
+    """Batches of problems of different sizes and costs, with duplicate rows
+    that take the 1e-12 floor, give smo's solve of each."""
     rng = np.random.default_rng(23)
-    duplicates = duplicate_rows_instance()
-    small = [(*gram_and_labels(ds, params), params.C)
-             for ds, params in (random_instance(rng) for _ in range(3))]
-    capped = [all_ones_instance(6, 1e300), all_ones_instance(8, 1e300),
-              all_ones_instance(6, 1e200), all_ones_instance(8, 1e250)]
-    for (K, y, C), got in zip(duplicates + small, lockstep(duplicates + small)):
+    problems = duplicate_rows_instance() + [
+        (*gram_and_labels(ds, params), params.C)
+        for ds, params in (random_instance(rng) for _ in range(3))]
+    for (K, y, C), got in zip(problems, lockstep(problems)):
         assert_same_solve(got, smo(K, y, C))
-    for (K, y, C), got in zip(capped, lockstep(capped)):
-        assert_same_solve(got, smo(K, y, C))
-        assert not got.converged
-        assert len(got.objective_trace) == _STEPS_PER_ROW * len(y)
-    got = lockstep(duplicates + small + [all_ones_instance(8, 1e300)])
+
+
+def test_lockstep_hands_back_after_50_steps_per_row():
+    """A problem is returned if it has converged by 50 steps per row of its
+    own and handed back as None if it is still running then, whether smo
+    would converge on it later or run to its cap."""
+    at_limit = [all_ones_instance(6, 2e14), all_ones_instance(8, 2e14)]
+    past_limit = [all_ones_instance(6, 2.02e14), all_ones_instance(8, 1e300)]
+    got = lockstep(at_limit + past_limit)
+    for (K, y, C), res in zip(at_limit, got):
+        assert len(res.objective_trace) == 50 * len(y)
+        assert_same_solve(res, smo(K, y, C))
+    assert got[2:] == [None, None]
+    assert smo(*past_limit[0]).converged
+    assert len(smo(*past_limit[1]).objective_trace) == _STEPS_PER_ROW * 8
+
+
+def test_lockstep_hands_back_four_times_past_half_the_batch():
+    """Once half a batch has finished, a problem still running at 4 times
+    that step is handed back, though it would converge within 50 n."""
+    rng = np.random.default_rng(23)
+    problems = duplicate_rows_instance() + [
+        (*gram_and_labels(ds, params), params.C)
+        for ds, params in (random_instance(rng) for _ in range(3))]
+    late = all_ones_instance(8, 2e14)
+    got = lockstep(problems + [late])
     assert got[-1] is None
-    for (K, y, C), res in zip(duplicates + small, got):
+    assert lockstep([late, late])[0] is not None
+    for (K, y, C), res in zip(problems, got):
         assert_same_solve(res, smo(K, y, C))
 
 
