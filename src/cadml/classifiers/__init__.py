@@ -2,7 +2,10 @@
 
 FittedModel bundles the trained classifier with the input-scaling stats and
 feature names it was trained with, so a saved model can be applied to raw
-records later. Serialization is versioned JSON and round-trips exactly.
+records later. Each classifier only scores rows (score_batch, one float per
+row); FittedModel checks the row width, scales, and labels a row 1 where its
+score is above 0, so a score of exactly 0 is class 0. Serialization is
+versioned JSON and round-trips exactly.
 """
 from __future__ import annotations
 
@@ -89,7 +92,7 @@ class FittedModel:
     def predict_batch(self, X) -> np.ndarray:
         X = self._transform(X)
         with _overflow_is_data_error(self.model.params):
-            return self.model.predict_batch(X)
+            return (self.model.score_batch(X) > 0).astype(np.int64)
 
     def posterior(self, x):
         """Class-probability vector of one row; only naive Bayes supplies one."""
@@ -108,7 +111,7 @@ class FittedModel:
         d = {
             "format_version": 1,
             "schema": [asdict(f) for f in self.schema],
-            "model": self.model.to_dict(),
+            "model": {"algorithm": self.algorithm, "version": 1, **self.model.to_dict()},
             "scaling": None,
         }
         if self.scaling is not None:
@@ -120,7 +123,8 @@ class FittedModel:
     def from_dict(cls, d):
         schema = tuple(
             FeatureSchema(name=f["name"], kind=f["kind"],
-                          allowed_values=tuple(f["allowed_values"]) if f["allowed_values"] else None)
+                          allowed_values=None if (v := f["allowed_values"]) is None
+                          else tuple(as_shaped(v, (len(v),), "allowed_values").tolist()))
             for f in d["schema"]
         )
         md = d["model"]

@@ -1,17 +1,18 @@
 """k-nearest neighbors with Euclidean distance and majority vote.
 
-Equal distances break by exemplar index; k is odd, so the two classes never
-tie on votes.
+A row's score is (2 * votes - k) / k, where votes counts class 1 among its k
+nearest exemplars. Equal distances break by exemplar index; k is odd, so the
+score is never 0.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import LengthMismatch, TooFewRows
+from ..errors import TooFewRows
 from .params import KNNParams, _json_field, as_shaped
 
-_CHUNK_ROWS = 64  # predict_batch holds two _CHUNK_ROWS x exemplars buffers
+_CHUNK_ROWS = 64  # score_batch holds two _CHUNK_ROWS x exemplars buffers
 _FARTHEST = np.finfo(np.float64).max
 
 
@@ -23,16 +24,9 @@ class KNNModel:
         if k > len(self.y):
             raise TooFewRows(f"k={k} exceeds {len(self.y)} exemplars")
 
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    def predict_batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise LengthMismatch(self.n_features, X.shape)
+    def score_batch(self, X) -> np.ndarray:
         k = self.params.k
-        out = np.empty(len(X), dtype=np.int64)
+        out = np.empty(len(X))
         columns = np.ascontiguousarray(self.X.T)
         dist, sq = np.empty((2, min(len(X), _CHUNK_ROWS), len(self.X)))
         for s in range(0, len(X), _CHUNK_ROWS):
@@ -53,13 +47,11 @@ class KNNModel:
                 nearest = d.argmin(axis=1)
                 votes += self.y[nearest]
                 d[rows, nearest] = np.inf
-            out[s:s + _CHUNK_ROWS] = 2 * votes > k
+            out[s:s + _CHUNK_ROWS] = (2 * votes - k) / k
         return out
 
     def to_dict(self):
         return {
-            "algorithm": "knn",
-            "version": 1,
             "k": self.params.k,
             "exemplars": [[float(v) for v in row] for row in self.X],
             "labels": [int(v) for v in self.y],

@@ -1,8 +1,8 @@
 """Naive Bayes with Gaussian or kernel-density likelihoods for continuous
 features and (Laplace-smoothed) frequency tables for the discrete kinds.
 
-Posteriors are computed in log space and renormalized; prediction ties break
-toward class 0.
+Posteriors are computed in log space and renormalized; a row's score is
+P(1|x) - P(0|x), so equal posteriors score 0, which labels class 0.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import CONTINUOUS, Dataset
-from ..errors import LengthMismatch, SingleClassData, TooFewRows
+from ..errors import SingleClassData, TooFewRows
 from .params import NBParams, as_shaped
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -100,13 +100,13 @@ class _FrequencyStat:
 
     @classmethod
     def from_dict(cls, s):
-        values = tuple(s["values"])
-        if not values:
+        values = as_shaped(s["values"], (len(s["values"]),), "values")
+        if len(values) == 0:
             raise ValueError("frequency table without values")
         probs = as_shaped(s["probs"], (len(values),), "probs")
         if (probs > 1).any() or (probs < 0).any():
             raise ValueError("probs outside [0, 1]")
-        return cls(values=values, probs=probs)
+        return cls(values=tuple(values.tolist()), probs=probs)
 
 
 _STATS = {"gaussian": _GaussianStat, "kde": _KDEStat, "frequency": _FrequencyStat}
@@ -123,10 +123,12 @@ def posterior_from_log_joint(logs: np.ndarray) -> np.ndarray:
     return probs / probs.sum(axis=1, keepdims=True)
 
 
-def labels_from_log_joint(logs: np.ndarray) -> np.ndarray:
-    """The predicted class of each row of (n, 2) log-joints; ties go to class 0."""
+def score_from_log_joint(logs: np.ndarray) -> np.ndarray:
+    """P(1|x) - P(0|x) of each row of (n, 2) log-joints. IEEE subtraction
+    keeps the sign of a difference, so the score is above 0 exactly where
+    P(1|x) > P(0|x), and 0 where they are equal. Overwrites logs."""
     post = posterior_from_log_joint(logs)
-    return np.where(post[:, 0] >= post[:, 1], 0, 1)
+    return post[:, 1] - post[:, 0]
 
 
 class NBModel:
@@ -136,15 +138,8 @@ class NBModel:
         self.feature_stats = feature_stats  # [class][feature] -> stat
         self.params = params
 
-    @property
-    def n_features(self) -> int:
-        return len(self.schema)
-
     def log_joint(self, X) -> np.ndarray:
         """log P(class) + sum of the feature log-likelihoods, shape (n, 2)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise LengthMismatch(self.n_features, X.shape)
         out = np.tile(np.log(self.priors), (len(X), 1))
         for c in (0, 1):
             for j, stat in enumerate(self.feature_stats[c]):
@@ -155,13 +150,11 @@ class NBModel:
         """P(class | x) of each row of X, shape (n, 2)."""
         return posterior_from_log_joint(self.log_joint(X))
 
-    def predict_batch(self, X) -> np.ndarray:
-        return labels_from_log_joint(self.log_joint(X))
+    def score_batch(self, X) -> np.ndarray:
+        return score_from_log_joint(self.log_joint(X))
 
     def to_dict(self):
         return {
-            "algorithm": "nb",
-            "version": 1,
             "params": self.params.to_dict(),
             "priors": [float(p) for p in self.priors],
             "feature_stats": [[stat.to_dict() for stat in row] for row in self.feature_stats],

@@ -32,11 +32,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import LengthMismatch, NotConverged, SingleClassData
+from ..errors import NotConverged, SingleClassData
 from .params import SVMParams, _json_field, as_shaped
 
 _ALPHA_EPS = 1e-12
-_CHUNK_ROWS = 1024  # SVMModel.decision holds a support-vectors x _CHUNK_ROWS Gram block
+_CHUNK_ROWS = 1024  # SVMModel.score_batch holds a support-vectors x _CHUNK_ROWS Gram block
 _GRAM_ROWS = 16  # rbf_gram and smo add the squared norms or diagonals in blocks of this many rows
 _STEPS_PER_ROW = 500  # smo's default cap is this many steps per training row
 # smo_lockstep hands back a problem still running after this many steps per
@@ -270,28 +270,16 @@ class SVMModel:
         self.converged = bool(converged)
         self.objective_trace = objective_trace or []
 
-    @property
-    def n_features(self) -> int:
-        return self.support_vectors.shape[1]
-
-    def decision(self, X) -> np.ndarray:
+    def score_batch(self, X) -> np.ndarray:
         """f(x) of each row of X."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise LengthMismatch(self.n_features, X.shape)
         f = np.empty(len(X))
         for s in range(0, len(X), _CHUNK_ROWS):
             f[s:s + _CHUNK_ROWS] = self.dual_coef @ rbf_gram(
                 self.support_vectors, X[s:s + _CHUNK_ROWS], self.params.sigma)
         return f + self.bias
 
-    def predict_batch(self, X) -> np.ndarray:
-        return (self.decision(X) > 0.0).astype(np.int64)
-
     def to_dict(self):
         return {
-            "algorithm": "svm",
-            "version": 1,
             "params": self.params.to_dict(),
             "support_vectors": [[float(v) for v in row] for row in self.support_vectors],
             "dual_coef": [float(v) for v in self.dual_coef],

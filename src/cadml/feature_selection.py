@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import NBParams, _overflow_is_data_error, nb_fit
-from .classifiers.naive_bayes import labels_from_log_joint
+from .classifiers.naive_bayes import score_from_log_joint
 from .dataset import CONTINUOUS, Dataset
 from .errors import EmptyInput
 from .evaluation import stratified_folds
@@ -225,7 +225,7 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
         for j, name in enumerate(names):
             if name in subset:
                 logs += columns[j]
-        correct = labels_from_log_joint(logs) == ds.y
+        correct = (score_from_log_joint(logs) > 0) == ds.y
         return float(np.mean(np.bincount(assignment.fold_of_row, weights=correct) / fold_sizes))
 
     start = frozenset()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cadml.classifiers import FittedModel
 from cadml.dataset import (
     BINARY,
     CATEGORICAL,
@@ -28,6 +29,13 @@ def make_dataset(X, y, schema=None):
     if schema is None:
         schema = continuous_schema(X.shape[1])
     return Dataset(schema=schema, X=X, y=y)
+
+
+def labels(model, X) -> np.ndarray:
+    """The labels a FittedModel of model, without scaling, gives the rows of X:
+    class 1 where the model's score is above 0."""
+    X = np.asarray(X, dtype=np.float64)
+    return FittedModel(model, continuous_schema(X.shape[1]), None).predict_batch(X)
 
 
 @pytest.fixture(scope="session")

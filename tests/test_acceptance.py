@@ -28,7 +28,7 @@ from cadml.evaluation import ConfusionMatrix, confusion, cross_validate, metrics
 from cadml.feature_selection import best_first_subset, rank_features
 from cadml.tuning import compare_models, default_grids, grid_search
 
-from conftest import DATA_PATH, make_dataset
+from conftest import DATA_PATH, labels, make_dataset
 from test_knn import oracle_predict
 from test_svm import exact_dual, gram_and_labels, qp_oracle, random_instance
 
@@ -166,7 +166,7 @@ def test_nb_matches_bayes_optimal_boundary():
             return np.sum(-np.log(s) - 0.5 * ((Q - mu) / s) ** 2, axis=1)
         return (log_density(Q, mu1, s1) > log_density(Q, mu0, s0)).astype(int)
 
-    nb_err = np.mean(model.predict_batch(Xt) != yt)
+    nb_err = np.mean(labels(model, Xt) != yt)
     bayes_err = np.mean(bayes_rule(Xt) != yt)
     assert abs(nb_err - bayes_err) <= 0.02, (nb_err, bayes_err)
 
@@ -213,8 +213,7 @@ def test_knn_against_exhaustive_oracle():
                 Q.append(base[int(rng.integers(0, 25))])  # lands exactly on exemplars
         Q = np.array(Q)
         # one call over all 250 queries, so they span many blocks of rows
-        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
-            [oracle_predict(X, y, k, q) for q in Q]
+        assert labels(KNNModel(X, y, k), Q).tolist() == [oracle_predict(X, y, k, q) for q in Q]
         checked += len(Q)
     assert checked == 1000
 

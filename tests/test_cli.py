@@ -179,6 +179,16 @@ def first_prob_negative(d):
     d["model"]["feature_stats"][0][0]["probs"][0] = -0.1
 
 
+def set_first_table_values(values):
+    """Set the values of Cp's frequency table, the first of the 7-feature view."""
+    return edit_json(lambda d: d["model"]["feature_stats"][0][0].update(values=values))
+
+
+def set_first_allowed_values(values):
+    """Set the allowed values of Cp, the first feature of the 7-feature view."""
+    return edit_json(lambda d: d["schema"][0].update(allowed_values=values))
+
+
 def first_std_zero(d):
     d["scaling"]["std"][0] = 0
 
@@ -238,6 +248,16 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "knn", edit_json(first_exemplar_string)),
     (GOOD_RECORD, "knn", edit_json(first_exemplar_bools)),
     (GOOD_RECORD, "knn", edit_json(first_labels_bools)),
+    (GOOD_RECORD, "nb", set_first_table_values([[1.0], [2.0], [3.0], [4.0]])),
+    (GOOD_RECORD, "nb", set_first_table_values("abcd")),
+    (GOOD_RECORD, "nb", set_first_table_values(["1", "2", "3", "4"])),
+    (GOOD_RECORD, "nb", set_first_table_values([True, False, True, False])),
+    (GOOD_RECORD, "nb", set_first_table_values(None)),
+    (GOOD_RECORD, "nb", set_first_table_values([None, None, None, None])),
+    (GOOD_RECORD, "nb", set_first_allowed_values(["1", "2", "3", "4"])),
+    (GOOD_RECORD, "nb", set_first_allowed_values("abcd")),
+    (GOOD_RECORD, "nb", set_first_allowed_values([True, 2.0, 3.0, 4.0])),
+    (GOOD_RECORD, "knn", set_first_allowed_values([[1.0], [2.0], [3.0], [4.0]])),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
@@ -247,7 +267,9 @@ def set_gaussian(key, value):
         "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan",
         "svm-converged-string", "svm-dual-objective-bool", "knn-version-2", "nb-version-string",
         "format-true", "svm-bias-string", "svm-bias-huge-int", "knn-exemplar-string",
-        "knn-exemplar-bools", "knn-labels-bools"])
+        "knn-exemplar-bools", "knn-labels-bools", "nb-values-nested", "nb-values-string",
+        "nb-values-strings", "nb-values-bools", "nb-values-null", "nb-values-nulls", "allowed-values-strings",
+        "allowed-values-string", "allowed-values-bool", "knn-allowed-values-nested"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)

@@ -107,18 +107,22 @@ def workdir(tmp_path_factory):
 
 
 def _model_file(workdir, algorithm, key, value):
-    """The saved model of algorithm with the entry key (of the file, or else of
-    its "model" record, by position) set to value; key None leaves it whole."""
+    """The saved model of algorithm with the entry key set to value, by
+    position among the entries of the file, of its "model" record, of each
+    "schema" entry and of each naive-Bayes stat record; key None leaves it
+    whole."""
     model = json.loads((workdir / f"{algorithm}.json").read_text(encoding="utf-8"))
     if key is not None:
-        entries = [(model, k) for k in model] + [(model["model"], k) for k in model["model"]]
+        records = [model, model["model"], *model["schema"],
+                   *(stat for row in model["model"].get("feature_stats", []) for stat in row)]
+        entries = [(record, k) for record in records for k in record]
         record, name = entries[key % len(entries)]
         record[name] = value
     return json.dumps(model).encode()
 
 
 # a saved model, whole or with one entry set to an arbitrary JSON value
-models = st.tuples(st.sampled_from(list(ALGORITHMS)), st.none() | st.integers(0, 20), json_values)
+models = st.tuples(st.sampled_from(list(ALGORITHMS)), st.none() | st.integers(0, 99), json_values)
 
 
 def run_cli(args):

@@ -6,7 +6,7 @@ from cadml.classifiers import KNNParams, knn_fit
 from cadml.classifiers.knn import _CHUNK_ROWS, KNNModel
 from cadml.errors import TooFewRows
 
-from conftest import continuous_schema, make_dataset
+from conftest import continuous_schema, labels, make_dataset
 
 
 def oracle_predict(X, y, k, q):
@@ -19,13 +19,13 @@ def oracle_predict(X, y, k, q):
     return 0 if votes[0] > votes[1] else 1
 
 
-def argsort_predict(model, Q):
+def argsort_score(model, Q):
     """The first blocked rule: a stable argsort of each row's distances, so
-    equal distances rank by exemplar index, then the first k."""
+    equal distances rank by exemplar index, then the votes of the first k."""
     k = model.params.k
     d = np.sqrt(np.sum((Q[:, None, :] - model.X) ** 2, axis=2))
     nearest = np.argsort(d, axis=1, kind="stable")[:, :k]
-    return (2 * np.sum(model.y[nearest], axis=1) > k).astype(np.int64)
+    return (2 * np.sum(model.y[nearest], axis=1) - k) / k
 
 
 @pytest.mark.parametrize("queries", ["lattice", "gaussian", "overflowed"])
@@ -49,13 +49,14 @@ def test_argmin_selection_matches_stable_argsort(queries):
         for k in (1, 3, 5, 7, 9, 15):
             model = KNNModel(X, y, k)
             with np.errstate(over="ignore"):
-                assert np.array_equal(model.predict_batch(Q), argsort_predict(model, Q))
+                assert np.array_equal(model.score_batch(Q), argsort_score(model, Q))
 
 
 def test_simple_majority():
     ds = make_dataset([[0.0], [0.1], [0.2], [5.0], [5.1]], [0, 0, 0, 1, 1])
     model = knn_fit(ds, KNNParams(k=3))
-    assert model.predict_batch(np.array([[0.05], [5.05]])).tolist() == [0, 1]
+    assert model.score_batch(np.array([[0.05], [5.05]])).tolist() == [-1.0, 1 / 3]
+    assert labels(model, [[0.05], [5.05]]).tolist() == [0, 1]
 
 
 def test_matches_oracle_random():
@@ -65,8 +66,7 @@ def test_matches_oracle_random():
     for k in (1, 3, 5, 9):
         # 200 queries: three full blocks of rows and a partial fourth
         Q = rng.normal(size=(200, 3)) * 2
-        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
-            [oracle_predict(X, y, k, q) for q in Q]
+        assert labels(KNNModel(X, y, k), Q).tolist() == [oracle_predict(X, y, k, q) for q in Q]
 
 
 def test_matches_oracle_with_duplicate_exemplars():
@@ -77,8 +77,7 @@ def test_matches_oracle_with_duplicate_exemplars():
     y = np.array([0] * 10 + [1] * 10)
     for k in (1, 3, 5):
         Q = rng.integers(0, 3, size=(100, 2)).astype(float)
-        assert KNNModel(X, y, k).predict_batch(Q).tolist() == \
-            [oracle_predict(X, y, k, q) for q in Q]
+        assert labels(KNNModel(X, y, k), Q).tolist() == [oracle_predict(X, y, k, q) for q in Q]
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -89,8 +88,8 @@ def test_translation_invariance(dx, dy):
     y = rng.integers(0, 2, 20)
     q = rng.normal(size=(1, 2))
     shift = np.array([dx, dy])
-    a = KNNModel(X, y, 3).predict_batch(q)
-    b = KNNModel(X + shift, y, 3).predict_batch(q + shift)
+    a = labels(KNNModel(X, y, 3), q)
+    b = labels(KNNModel(X + shift, y, 3), q + shift)
     assert a == b
 
 
@@ -107,7 +106,7 @@ def test_k_validation():
 
 def test_predict_batch(tiny_separable):
     model = knn_fit(tiny_separable, KNNParams(k=5))
-    preds = model.predict_batch(tiny_separable.X)
+    preds = labels(model, tiny_separable.X)
     assert np.array_equal(preds, tiny_separable.y)
 
 
@@ -118,4 +117,4 @@ def test_serialization_roundtrip():
     model = KNNModel(X, y, 5)
     clone = KNNModel.from_dict(model.to_dict(), continuous_schema(2))
     q = rng.normal(size=(20, 2))
-    assert np.array_equal(clone.predict_batch(q), model.predict_batch(q))
+    assert np.array_equal(clone.score_batch(q), model.score_batch(q))

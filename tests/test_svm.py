@@ -20,7 +20,7 @@ from cadml.classifiers.svm import (
 from cadml.errors import SingleClassData
 from cadml.evaluation import stratified_folds
 
-from conftest import continuous_schema, make_dataset
+from conftest import continuous_schema, labels, make_dataset
 
 
 def rbf_kernel(x, y, sigma):
@@ -169,7 +169,7 @@ def test_separable_training():
     ds = make_dataset(ds_X, np.array([0, 0, 0, 1, 1, 1]))
     model = svm_fit(ds, SVMParams(C=1.0, sigma=0.5))
     assert model.converged
-    assert np.array_equal(model.predict_batch(ds_X), ds.y)
+    assert np.array_equal(labels(model, ds_X), ds.y)
 
 
 def gram_and_labels(ds, params):
@@ -267,7 +267,8 @@ def test_single_class_rejected(tiny_separable):
 def test_decision_tie_goes_to_class_zero():
     model = SVMModel(support_vectors=np.array([[0.0]]), dual_coef=np.array([0.0]),
                      bias=0.0, params=SVMParams(), dual_objective_value=0.0)
-    assert model.predict_batch(np.array([[1.0]])).tolist() == [0]
+    assert model.score_batch(np.array([[1.0]])).tolist() == [0.0]
+    assert labels(model, [[1.0]]).tolist() == [0]
 
 
 def test_serialization_roundtrip(tiny_separable):
@@ -275,8 +276,8 @@ def test_serialization_roundtrip(tiny_separable):
     clone = SVMModel.from_dict(model.to_dict(), continuous_schema(2))
     rng = np.random.default_rng(3)
     Q = rng.normal(size=(25, 2)) * 3
-    assert np.array_equal(clone.predict_batch(Q), model.predict_batch(Q))
-    assert np.max(np.abs(clone.decision(Q[:5]) - model.decision(Q[:5]))) < 1e-12
+    assert np.array_equal(labels(clone, Q), labels(model, Q))
+    assert np.max(np.abs(clone.score_batch(Q[:5]) - model.score_batch(Q[:5]))) < 1e-12
 
 
 def test_decision_in_chunks_matches_row_by_row():
@@ -288,14 +289,14 @@ def test_decision_in_chunks_matches_row_by_row():
     model = svm_fit(make_dataset(X, (X[:, 0] + 0.3 * X[:, 1] > 0).astype(np.int64)),
                     SVMParams(C=1.0, sigma=0.4))
     Q = rng.normal(size=(2 * _CHUNK_ROWS + 7, 3)) * 2
-    rows = np.array([model.decision(q[None, :])[0] for q in Q])
-    assert np.max(np.abs(model.decision(Q) - rows)) <= 1e-12
-    assert np.array_equal(model.predict_batch(Q), rows > 0.0)
-    assert model.decision(Q[:0]).shape == (0,)
+    rows = np.array([model.score_batch(q[None, :])[0] for q in Q])
+    assert np.max(np.abs(model.score_batch(Q) - rows)) <= 1e-12
+    assert np.array_equal(labels(model, Q), rows > 0.0)
+    assert model.score_batch(Q[:0]).shape == (0,)
     # whole chunks give the very values of one Gram block over the batch
     whole = Q[:2 * _CHUNK_ROWS]
     assert np.array_equal(
-        model.decision(whole),
+        model.score_batch(whole),
         model.dual_coef @ rbf_gram(model.support_vectors, whole, model.params.sigma)
         + model.bias)
 
@@ -339,7 +340,7 @@ def fold_sets(view, seed):
             for f in range(10)]
 
 
-def labels(ds):
+def signs(ds):
     return np.where(ds.y == 1, 1.0, -1.0)
 
 
@@ -350,7 +351,7 @@ def test_smo_matches_seed_loop(case, cleveland, cleveland7, monkeypatch):
     view = {"grid-7": cleveland7, "grid-13": cleveland}.get(case)
     if view is not None:  # the default SVM grid's 10-fold problems and refit
         sets = fold_sets(view, 2018) + [TrainingSet(view, scaling=True).rows]
-        problems = [(rbf_gram(ds.X, ds.X, p.sigma), labels(ds), p.C)
+        problems = [(rbf_gram(ds.X, ds.X, p.sigma), signs(ds), p.C)
                     for ds in sets for p in tuning.default_grids()["svm"].candidates]
     elif case == "duplicate-rows":
         problems = duplicate_rows_instance()
@@ -407,7 +408,7 @@ def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
             for C, problem in zip(costs, row):
                 assert problem is not None
                 assert np.array_equal(problem[0], K)
-                assert_same_solve(problem[1], smo(K, labels(ds), C))
+                assert_same_solve(problem[1], smo(K, signs(ds), C))
 
 
 def test_lockstep_matches_smo_on_mixed_batches():
