@@ -150,7 +150,7 @@ class TrainingSet:
 
     def fit(self, params: HyperParams, solved=None) -> FittedModel:
         """solved, for an SVM, is its problem already solved on these rows
-        (svm.solve_lockstep); without it the fit solves its own."""
+        (lockstep.solve_lockstep); without it the fit solves its own."""
         # looked up per call, not stored in ALGORITHMS, so that instrumentation
         # that replaces these module attributes (perfbench/spans.py) sees the fits
         fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]

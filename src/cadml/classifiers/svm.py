@@ -14,19 +14,12 @@ stopping test, and the centre of the interval it spans is the bias. The
 curvature of every pair, K_ii + K_jj - 2 K_ij, is one n x n matrix built
 when the solve starts, so a step reads its row instead of forming it.
 
-smo_lockstep takes smo's steps for a batch of problems at once, on one
-zero-padded stack of Gram matrices, with one numpy call per operation for
-the whole batch. A grid search solves every (fold, C) problem of a sigma in
-a group of folds that way, so the C values share each fold's kernel (the
-kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011). A problem still
-running after 50 steps per row, or long after half its batch finished, is
-handed back to be solved alone by smo, so no batch runs to smo's cap.
-svm_fit takes a problem solved in lockstep, or solves its own with smo.
+A grid search solves its fold problems in batches instead (lockstep.py);
+svm_fit takes a problem solved there, or solves its own with smo.
 """
 from __future__ import annotations
 
 import math
-import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -39,22 +32,18 @@ _ALPHA_EPS = 1e-12
 _CHUNK_ROWS = 1024  # SVMModel.score_batch holds a support-vectors x _CHUNK_ROWS Gram block
 _GRAM_ROWS = 16  # rbf_gram and smo add the squared norms or diagonals in blocks of this many rows
 _STEPS_PER_ROW = 500  # smo's default cap is this many steps per training row
-# smo_lockstep hands back a problem still running after this many steps per
-# row, a tenth of smo's cap, or at this many times the step by which half
-# its batch had finished, whichever comes first
-_LOCKSTEP_STEPS_PER_ROW = 50
-_HAND_BACK = 4
 _TOL = 1e-3  # the violation gap at which smo and smo_lockstep stop
 
 
-def rbf_gram(X, Y, sigma: float) -> np.ndarray:
+def rbf_gram(X, Y, sigma: float, out=None) -> np.ndarray:
+    """The (len(X), len(Y)) Gram matrix, written into out when given."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     # one (len(X), len(Y)) buffer, updated in place; the operation order is
     # |x|^2 + |y|^2 - 2 x.y, clamp at 0, times -sigma, exp; |x|^2 + |y|^2 is
     # formed _GRAM_ROWS rows at a time, so it needs no second such buffer
     sx, sy = np.sum(X**2, axis=1), np.sum(Y**2, axis=1)
-    out = 2.0 * X @ Y.T
+    out = np.matmul(2.0 * X, Y.T, out=out)
     for s in range(0, len(X), _GRAM_ROWS):
         rows = out[s:s + _GRAM_ROWS]
         np.subtract(sx[s:s + _GRAM_ROWS, None] + sy, rows, out=rows)
@@ -162,103 +151,6 @@ def smo(K, y, C: float, tol: float = _TOL, max_iter: int | None = None) -> SMORe
     return SMOResult(np.array(alpha), 0.5 * (m + M), m - M < tol, trace)
 
 
-def smo_lockstep(K, y, C, fold) -> list:
-    """smo's steps for B problems at once, on (B, n) arrays, bit for bit.
-
-    K is a (folds, n, n) stack of Gram matrices and y the (folds, n) labels,
-    both zero-padded past each fold's rows; problem b is fold[b] with cost
-    C[b]. R holds r over "up" (-inf elsewhere), r over "low" (+inf
-    elsewhere) and r, so padding rows are in neither set and one R -= step
-    moves all three. The curvature row (K_ii + K_jj) - 2 K_i is formed per
-    step, not kept as an n x n matrix. A finished problem is frozen with
-    t = 0.
-
-    Returns one SMOResult per problem, or None for a problem still running
-    after _LOCKSTEP_STEPS_PER_ROW steps per row of its fold, or at
-    _HAND_BACK times the step by which half the batch had finished. Its fit
-    solves it alone with smo, whose step costs about a sixth of a lockstep
-    step, and the fit of a candidate that has already failed never does; so
-    a C that does not converge holds the batch for at most a tenth of smo's
-    cap, and one beside others that do for a few times their steps.
-    """
-    fold, C = np.asarray(fold), np.asarray(C, dtype=np.float64)[:, None]
-    B, n = len(fold), y.shape[1]
-    # flat indices: row b * n + i of a (B, n) array, and row fold[b] * n + i
-    # of K viewed as (folds * n, n)
-    base = np.arange(B) * n
-    K_rows, K_off = K.reshape(-1, n), fold * n - base
-    Y = y[fold]
-    pos = Y > 0
-    sizes = np.count_nonzero(Y, axis=1)
-    limits = _LOCKSTEP_STEPS_PER_ROW * sizes
-    D = K[:, np.arange(n), np.arange(n)][fold]  # each problem's Gram diagonal
-    R = np.empty((3, B, n))
-    R[0], R[1], R[2] = np.where(pos, Y, -math.inf), np.where(Y < 0, Y, math.inf), Y
-    R0, R1, r = R[0].ravel(), R[1].ravel(), R[2].ravel()
-    # u = alpha * y, so a step is u_i += t, u_j -= t; the bounds on t are
-    # hi_i - u_i and u_j - lo_j, and a row is "up" while u < up_below and
-    # "low" while u > low_above; as negation is exact, these are smo's
-    # C - alpha and alpha, and its tests against C - eps and eps, bit for bit
-    u = np.zeros(B * n)
-    hi, lo = np.where(pos, C, 0.0).ravel(), np.where(pos, 0.0, -C).ravel()
-    up_below = np.where(pos, C - _ALPHA_EPS, -_ALPHA_EPS).ravel()
-    low_above = np.where(pos, _ALPHA_EPS, _ALPHA_EPS - C).ravel()
-    # live_tol is _TOL while a problem runs and -inf once it is frozen
-    active, live_tol, out = np.ones(B, dtype=bool), np.full(B, _TOL), [None] * B
-    objective, b = np.zeros(B), np.empty((B, n))
-    trace = np.empty((256, B))  # objective after each step, grown by doubling
-    next_limit = limits.min()
-    for it in range(limits.max() + 1):
-        i = R[0].argmax(axis=1) + base
-        m, M = R0.take(i), R1.take(R[1].argmin(axis=1) + base)
-        gap = m - M
-        if it == next_limit or (gap < live_tol).any():
-            done = active & (gap < _TOL)
-            for p in np.flatnonzero(done):
-                out[p] = SMOResult(np.abs(u[base[p]:base[p] + sizes[p]]),
-                                   0.5 * (m.item(p) + M.item(p)), True, trace[:it, p].tolist())
-            if 2 * (active & ~done).sum() <= B:
-                np.minimum(limits, _HAND_BACK * it, out=limits)
-            active &= ~done & (limits > it)
-            live_tol[~active] = -math.inf
-            if not active.any():
-                break
-            next_limit = limits[active].min()
-        np.subtract(m[:, None], R[1], out=b)
-        np.maximum(b, 0.0, out=b)
-        K_i = K_rows.take(i + K_off, axis=0)
-        a = np.add(D.take(i)[:, None], D)
-        a -= np.multiply(K_i, 2.0)
-        np.maximum(a, 1e-12, out=a)
-        gain = b * b
-        gain /= a
-        j = gain.argmax(axis=1) + base
-        b_j, a_j = b.take(j), a.take(j)
-        u_i, u_j = u.take(i), u.take(j)
-        t = b_j / a_j
-        np.minimum(t, hi.take(i) - u_i, out=t)
-        np.minimum(t, u_j - lo.take(j), out=t)
-        t *= active
-        u_i += t
-        u_j -= t
-        u.put(i, u_i)
-        u.put(j, u_j)
-        step = K_rows.take(j + K_off, axis=0)
-        np.subtract(K_i, step, out=step)
-        step *= t[:, None]
-        R -= step
-        objective += t * (b_j - 0.5 * t * a_j)
-        if it == len(trace):
-            trace = np.concatenate((trace, np.empty_like(trace)))
-        trace[it] = objective
-        # i and j enter or leave up and low by their new u
-        k, u_k = np.concatenate((i, j)), np.concatenate((u_i, u_j))
-        r_k = r.take(k)
-        R0.put(k, np.where(u_k < up_below.take(k), r_k, -math.inf))
-        R1.put(k, np.where(u_k > low_above.take(k), r_k, math.inf))
-    return out
-
-
 class SVMModel:
     def __init__(self, support_vectors, dual_coef, bias, params: SVMParams,
                  dual_objective_value, converged=True, objective_trace=None):
@@ -302,30 +194,9 @@ class SVMModel:
         )
 
 
-def solve_lockstep(sets, sigma: float, costs) -> list:
-    """smo on each training set at each cost, by smo_lockstep on one
-    zero-padded stack of the sets' Gram matrices: out[f][c] is the
-    (Gram matrix, SMOResult) of sets[f] at costs[c], as svm_fit takes it,
-    or None where smo_lockstep handed the problem back."""
-    n = max(len(ds.y) for ds in sets)
-    # the stack is an anonymous mapping, zero-filled and unmapped when its
-    # last view goes; as a malloc block, the first freed stack would raise
-    # glibc's mmap threshold past the next one, which would then come from
-    # the heap and keep its pages after it is freed
-    K = np.frombuffer(mmap.mmap(-1, 8 * len(sets) * n * n)).reshape(len(sets), n, n)
-    y = np.zeros((len(sets), n))
-    for f, ds in enumerate(sets):
-        K[f, :len(ds.y), :len(ds.y)] = rbf_gram(ds.X, ds.X, sigma)
-        y[f, :len(ds.y)] = np.where(ds.y == 1, 1.0, -1.0)
-    res = iter(smo_lockstep(K, y, np.tile(costs, len(sets)),
-                            np.repeat(np.arange(len(sets)), len(costs))))
-    return [[None if (r := next(res)) is None else (K[f, :len(ds.y), :len(ds.y)], r)
-             for _ in costs] for f, ds in enumerate(sets)]
-
-
 def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMModel:
-    """Fit on ds; solved, when given, is the (Gram matrix, SMOResult) of ds
-    at params from solve_lockstep. A solve that reaches smo's step cap
+    """Fit on ds; solved, when given, is the (dual objective, SMOResult) of
+    ds at params from solve_lockstep. A solve that reaches smo's step cap
     raises NotConverged."""
     neg, pos = ds.class_counts()
     if neg == 0 or pos == 0:
@@ -333,17 +204,17 @@ def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMMod
     y = np.where(ds.y == 1, 1.0, -1.0)
     if solved is None:
         K = rbf_gram(ds.X, ds.X, params.sigma)
-        solved = K, smo(K, y, params.C)
-    K, res = solved
-    if not res.converged:
-        raise NotConverged(params.C, params.sigma, len(res.objective_trace))
+        if not (res := smo(K, y, params.C)).converged:
+            raise NotConverged(params.C, params.sigma, len(res.objective_trace))
+        solved = dual_objective(K, y, res.alpha), res
+    objective, res = solved
     sv = res.alpha > _ALPHA_EPS
     return SVMModel(
         support_vectors=ds.X[sv].copy(),
         dual_coef=(res.alpha * y)[sv],
         bias=res.bias,
         params=params,
-        dual_objective_value=dual_objective(K, y, res.alpha),
+        dual_objective_value=objective,
         converged=res.converged,
         objective_trace=res.objective_trace,
     )

@@ -37,8 +37,8 @@ class FeatureSchema:
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, ORDINAL, CATEGORICAL, BINARY):
             raise ValueError(f"bad feature kind {self.kind!r}")
-        if self.kind != CONTINUOUS and not self.allowed_values:
-            raise ValueError(f"{self.name}: non-continuous features need allowed_values")
+        if not self.allowed_values and (self.kind, self.allowed_values) != (CONTINUOUS, None):
+            raise ValueError(f"{self.name}: allowed_values must be a non-empty list")
 
 
 CLEVELAND_SCHEMA: tuple[FeatureSchema, ...] = (

@@ -9,18 +9,19 @@ identical inputs and seed always give the identical partition.
 Cross-validation is fold-major: folds go in groups of as many as fit a
 3 MB zero-padded Gram stack (5 on the 297-row Cleveland table; a smaller
 table batches more), each training fold is z-scored once, the SVM problems
-of a group that share a sigma are solved in lockstep (svm.smo_lockstep),
-and every candidate is fitted on the group's folds before the next group;
-cross_validate is its one-candidate case.
+of a group that share a sigma are solved in lockstep (lockstep.smo_lockstep) in
+one Gram workspace per search, and every candidate is fitted on the group's
+folds before the next group; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import HyperParams, TrainingSet
-from .classifiers.svm import solve_lockstep
+from .classifiers.lockstep import gram_workspace, solve_lockstep
 from .dataset import Dataset
 from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
 
@@ -164,6 +165,8 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
     failed = {}
     n_train = len(ds.y) - int(np.bincount(folds.fold_of_row).min())
     group = max(1, _GRAM_STACK_BYTES // (8 * n_train * n_train))
+    # mapped at the first lockstep solve, so a search with none maps nothing
+    workspace = functools.cache(lambda: gram_workspace(8 * group * n_train * n_train))
     for start in range(0, folds.k, group):
         live = [c for c in range(len(candidates)) if c not in failed]
         if not live:
@@ -175,7 +178,7 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
             except CadmlError as exc:
                 error = exc.with_traceback(None)
                 break
-        solved = _solve_svm_group(trains, start, candidates, live)
+        solved = _solve_svm_group(trains, start, candidates, live, workspace)
         for f, train in enumerate(trains, start):
             test_idx = folds.test_indices(f)
             X_test, y_test = ds.X[test_idx], ds.y[test_idx]
@@ -190,7 +193,7 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
                 cm = confusion(predicted, y_test)
                 per_fold[c].append(metrics(cm))
                 pooled[c] = pooled[c] + cm
-        del solved  # the group's Gram stack goes before the next group's is built
+        del solved  # the group's solutions go before the next group's are made
         if error is not None:
             failed.update(dict.fromkeys([c for c in live if c not in failed], error))
             break
@@ -201,7 +204,7 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
             for c in range(len(candidates))]
 
 
-def _solve_svm_group(trains, start: int, candidates, live) -> dict:
+def _solve_svm_group(trains, start: int, candidates, live, workspace) -> dict:
     """(fold, candidate) -> solved SVM problem, for each sigma with more
     than one (fold, C) problem in the group; a lone problem, which has no
     step to share, is solved by its fit. An overflow leaves its sigma's
@@ -217,7 +220,7 @@ def _solve_svm_group(trains, start: int, candidates, live) -> dict:
         try:
             with np.errstate(over="raise"):
                 grid = solve_lockstep([t.rows for t in trains], sigma,
-                                      [candidates[c].C for c in cs])
+                                      [candidates[c].C for c in cs], workspace())
         except FloatingPointError:
             continue
         for f, row in enumerate(grid, start):

@@ -258,6 +258,8 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", set_first_allowed_values("abcd")),
     (GOOD_RECORD, "nb", set_first_allowed_values([True, 2.0, 3.0, 4.0])),
     (GOOD_RECORD, "knn", set_first_allowed_values([[1.0], [2.0], [3.0], [4.0]])),
+    (GOOD_RECORD, "nb", set_first_allowed_values([])),
+    (GOOD_RECORD, "nb", edit_json(lambda d: d["schema"][1].update(allowed_values=[]))),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
         "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
@@ -269,7 +271,8 @@ def set_gaussian(key, value):
         "format-true", "svm-bias-string", "svm-bias-huge-int", "knn-exemplar-string",
         "knn-exemplar-bools", "knn-labels-bools", "nb-values-nested", "nb-values-string",
         "nb-values-strings", "nb-values-bools", "nb-values-null", "nb-values-nulls", "allowed-values-strings",
-        "allowed-values-string", "allowed-values-bool", "knn-allowed-values-nested"])
+        "allowed-values-string", "allowed-values-bool", "knn-allowed-values-nested",
+        "allowed-values-empty", "continuous-allowed-values-empty"])
 def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, edit_model):
     model_path = tmp_path / "model.json"
     ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml.classifiers import KNNParams, NBParams
+from cadml import classifiers
+from cadml.classifiers import KNNParams, NBParams, SVMParams, svm_fit
 from cadml.errors import EmptyMatrix, LengthMismatch, TooFewPerClass
 from cadml.evaluation import (
     ConfusionMatrix,
     confusion,
     cross_validate,
+    cross_validate_candidates,
     metrics,
     stratified_folds,
 )
@@ -132,3 +134,34 @@ def test_cross_validate_deterministic(tiny_separable):
     a = cross_validate(tiny_separable, NBParams(), 4, seed=5)
     b = cross_validate(tiny_separable, NBParams(), 4, seed=5)
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("width", ["7", "13"])
+def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, cleveland7, monkeypatch):
+    """A search maps one Gram workspace, and each fold group and sigma
+    overwrites the matrices the one before left in it. With two sigmas x two
+    C, every fold model still equals svm_fit's own solve by smo, and every
+    candidate's CV equals its CV alone."""
+    view = {"7": cleveland7, "13": cleveland}[width]
+    grid = [SVMParams(C=C, sigma=sigma) for sigma in (0.1268408, 0.05) for C in (0.25, 1.0)]
+    fits = []
+
+    def recording_fit(ds, params, solved=None):
+        model = svm_fit(ds, params, solved)
+        fits.append((ds, params, solved is not None, model))
+        return model
+
+    folds = stratified_folds(view.y, 10, 2018)
+    monkeypatch.setattr(classifiers, "svm_fit", recording_fit)
+    results = cross_validate_candidates(view, grid, folds, scaling=True)
+    monkeypatch.undo()
+    assert len(fits) == 40 and all(in_lockstep for _, _, in_lockstep, _ in fits)
+    for ds, params, _, got in fits:
+        want = svm_fit(ds, params)
+        assert np.array_equal(got.support_vectors, want.support_vectors)
+        assert np.array_equal(got.dual_coef, want.dual_coef)
+        assert got.bias == want.bias
+        assert got.dual_objective == want.dual_objective
+    for params, result in zip(grid, results):
+        alone = cross_validate(view, params, 10, 2018, scaling=True, folds=folds)
+        assert result.to_dict() == alone.to_dict()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cadml import tuning
 from cadml.classifiers import SVMParams, TrainingSet, fit_model, svm, svm_fit
+from cadml.classifiers.lockstep import gram_workspace, smo_lockstep, solve_lockstep
 from cadml.classifiers.svm import (
     _ALPHA_EPS,
     _CHUNK_ROWS,
@@ -14,8 +15,6 @@ from cadml.classifiers.svm import (
     rbf_gram,
     SMOResult,
     smo,
-    smo_lockstep,
-    solve_lockstep,
 )
 from cadml.errors import SingleClassData
 from cadml.evaluation import stratified_folds
@@ -396,19 +395,22 @@ def all_ones_instance(n, C):
 def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
     """The default grid's 30 fold problems, solved in lockstep in the grid
     search's two groups of 5 folds x 3 C, padded to 268 rows where a fold
-    has 267, give smo's solve of each, bit for bit, on the same Gram matrix."""
+    has 267, give smo's solve of each, bit for bit, on the same Gram matrix,
+    and its dual objective; the two groups share one workspace."""
     width, seed = case.split("-")[1:]
     sets = fold_sets({"7": cleveland7, "13": cleveland}[width], int(seed))
     assert {len(ds.y) for ds in sets} == {267, 268}
     grid = tuning.default_grids()["svm"].candidates
     sigma, costs = grid[0].sigma, [p.C for p in grid]
+    workspace = gram_workspace(8 * 5 * 268 * 268)
     for group in (sets[:5], sets[5:]):
-        for ds, row in zip(group, solve_lockstep(group, sigma, costs)):
+        for ds, row in zip(group, solve_lockstep(group, sigma, costs, workspace)):
             K = rbf_gram(ds.X, ds.X, sigma)
             for C, problem in zip(costs, row):
                 assert problem is not None
-                assert np.array_equal(problem[0], K)
-                assert_same_solve(problem[1], smo(K, signs(ds), C))
+                want = smo(K, signs(ds), C)
+                assert problem[0] == dual_objective(K, signs(ds), want.alpha)
+                assert_same_solve(problem[1], want)
 
 
 def test_lockstep_matches_smo_on_mixed_batches():
@@ -450,6 +452,36 @@ def test_lockstep_hands_back_four_times_past_half_the_batch():
     assert lockstep([late, late])[0] is not None
     for (K, y, C), res in zip(problems, got):
         assert_same_solve(res, smo(K, y, C))
+
+
+def prefix_problem(view, m, C):
+    """smo's problem on the first m z-scored rows of view, at the default sigma."""
+    X = (view.X - view.X.mean(axis=0)) / view.X.std(axis=0)
+    return rbf_gram(X[:m], X[:m], 0.1268408), signs(view)[:m], C
+
+
+@pytest.mark.parametrize("order", ["reverse", "interleaved", "hand-back"])
+def test_lockstep_results_keep_problem_order_as_slots_drop(order, cleveland7):
+    """A problem's slot is dropped when it finishes or is handed back; with
+    problems that finish in reverse slot order, in interleaved order, or
+    around one handed back mid-run, each still gets smo's solve, in the
+    caller's order."""
+    by_steps = [prefix_problem(cleveland7, m, C) for m, C in
+                ((30, 0.25), (40, 0.25), (50, 1.0), (40, 10.0), (60, 10.0), (80, 10.0))]
+    steps = [len(smo(*problem).objective_trace) for problem in by_steps]
+    # distinct finishing steps; the never-converging 2-row problem is handed
+    # back at 50 x 2 steps, after three problems finished and before three more
+    assert steps == sorted(set(steps)) and steps[2] < 100 < steps[3]
+    batch = {"reverse": by_steps[::-1],
+             "interleaved": [by_steps[i] for i in (3, 0, 5, 1, 4, 2)],
+             "hand-back": by_steps[:3] + [all_ones_instance(2, 1e300)] + by_steps[3:]}[order]
+    got = lockstep(batch)
+    assert len(got) == len(batch)
+    for (K, y, C), res in zip(batch, got):
+        if C == 1e300:
+            assert res is None
+        else:
+            assert_same_solve(res, smo(K, y, C))
 
 
 def test_lockstep_overflow_raises_like_smo():
