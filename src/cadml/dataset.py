@@ -3,6 +3,9 @@
 The canonical input is the UCI "processed" Cleveland layout: comma separated,
 14 fields per line (13 features + diagnosis), no header, '?' for a missing
 cell. A header variant is accepted where the first line names the columns.
+Training tables (parse_csv) and target-free feature rows (parse_features) go
+through one line reader; '?' is allowed only in a training table's feature
+cells.
 """
 from __future__ import annotations
 
@@ -64,12 +67,14 @@ REMOVED_FEATURES = ("Age", "Sex", "Chol", "fbs", "Restbp", "RestECG")
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed but uncleaned rows; cells may be None (missing), targets raw 0..4."""
+    """Parsed but uncleaned rows: cells (rows, features) float64 in schema order
+    with NaN for '?', targets the raw 0..4 diagnosis (int64), lines the file line
+    of each row."""
 
     schema: tuple[FeatureSchema, ...]
-    cells: tuple[tuple[float | None, ...], ...]
-    targets: tuple[int, ...]
-    lines: tuple[int, ...]  # file line of each row
+    cells: np.ndarray
+    targets: np.ndarray
+    lines: tuple[int, ...]
 
     @property
     def n_rows(self) -> int:
@@ -77,7 +82,7 @@ class RawTable:
 
     @property
     def n_incomplete(self) -> int:
-        return sum(1 for row in self.cells if any(c is None for c in row))
+        return int(np.isnan(self.cells).any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class Dataset:
 
     def subset_rows(self, indices) -> "Dataset":
         idx = np.asarray(indices)
-        return replace(self, X=self.X[idx].copy(), y=self.y[idx].copy())
+        return replace(self, X=self.X[idx], y=self.y[idx])
 
 
 def _parse_cell(token: str, line_no: int, column: int) -> float | None:
@@ -119,65 +124,21 @@ def _parse_cell(token: str, line_no: int, column: int) -> float | None:
     return value
 
 
-def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
-              header: bool = False) -> RawTable:
-    """Parse Cleveland-layout CSV text into a RawTable.
+def _read_rows(lines, width: int, first_line_no: int = 1, missing_ok: int = 0,
+               targets: tuple[float, ...] | None = None):
+    """Parse lines of `width` comma-separated numbers; returns (array, file lines).
 
-    Each non-empty line must have len(schema)+1 fields. With header=True the
-    first non-empty line names the feature columns (any permutation of the
-    schema names, target last) and data columns are reordered to schema order.
+    Blank lines are skipped. '?' reads as NaN in the first `missing_ok` columns
+    and is an error in the others; with `targets`, the last column must hold
+    one of those values. Errors come in file-line order.
     """
-    n_fields = len(schema) + 1
-    order = list(range(len(schema)))
-    rows: list[tuple[float | None, ...]] = []
-    targets: list[int] = []
-    lines: list[int] = []
-    saw_header = not header
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    values, line_nos = [], []  # values holds the rows' cells end to end
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) != n_fields:
-            raise WrongFieldCount(line_no, n_fields, len(fields))
-        if not saw_header:
-            names = [f.strip() for f in fields[:-1]]
-            unknown = sorted(set(names) - {f.name for f in schema})
-            if unknown:
-                raise UnknownFeature(", ".join(unknown))
-            missing = [f.name for f in schema if f.name not in names]
-            if missing:  # as many columns as features, so some name repeats
-                repeated = sorted({n for n in names if names.count(n) > 1})
-                raise DataError(f"line {line_no}: header repeats {', '.join(repeated)} "
-                                f"and lacks {', '.join(missing)}")
-            # order[j] = position in the file of schema column j
-            order = [names.index(f.name) for f in schema]
-            saw_header = True
-            continue
-        cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields[:-1])]
-        cells = [cells[pos] for pos in order]
-        raw_target = _parse_cell(fields[-1], line_no, len(schema))
-        if raw_target is None:
-            raise NonNumericCell(line_no, len(schema), "?")
-        rows.append(tuple(cells))
-        targets.append(_check_raw_target(raw_target))
-        lines.append(line_no)
-    return RawTable(schema=tuple(schema), cells=tuple(rows), targets=tuple(targets),
-                    lines=tuple(lines))
-
-
-def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
-    """Parse rows of feature values without a target column, in schema order.
-
-    Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
-    is an error; returns a (rows, len(schema)) array.
-    """
-    values, lines = [], []  # values holds the rows' cells end to end
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(schema):
-            raise WrongFieldCount(line_no, len(schema), len(fields))
+        if len(fields) != width:
+            raise WrongFieldCount(line_no, width, len(fields))
         try:  # float() strips whitespace as _parse_cell does
             cells = list(map(float, fields))
         except ValueError:
@@ -186,42 +147,72 @@ def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
             # the cell-by-cell parse names the first bad cell in column order;
             # it passes a line whose only fault was that its sum overflowed
             cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
-            if None in cells:
-                raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
+            if None in cells[missing_ok:]:
+                col = cells.index(None, missing_ok)
+                raise DataError(f"line {line_no}, column {col}: missing value '?'")
+            cells = [math.nan if c is None else c for c in cells]
+        if targets is not None and cells[-1] not in targets:
+            raise OutOfRangeTarget(line_no, cells[-1])
         values += cells
-        lines.append(line_no)
-    X = np.asarray(values, dtype=np.float64).reshape(len(lines), len(schema))
+        line_nos.append(line_no)
+    return np.asarray(values, dtype=np.float64).reshape(len(line_nos), width), line_nos
+
+
+def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
+              header: bool = False) -> RawTable:
+    """Parse Cleveland-layout CSV text into a RawTable.
+
+    Each non-empty line must have len(schema)+1 fields, the last a 0..4 target.
+    With header=True the first non-empty line names the feature columns (any
+    permutation of the schema names, target last) and data columns are
+    reordered to schema order.
+    """
+    n_fields = len(schema) + 1
+    lines = text.splitlines()
+    order = list(range(len(schema)))  # order[j] = position in the file of schema column j
+    # index of the first data line: past the header, if there is one
+    first = next((i + 1 for i, line in enumerate(lines) if line.strip()), 0) if header else 0
+    if first:
+        fields = lines[first - 1].split(",")
+        if len(fields) != n_fields:
+            raise WrongFieldCount(first, n_fields, len(fields))
+        names = [f.strip() for f in fields[:-1]]
+        unknown = sorted(set(names) - {f.name for f in schema})
+        if unknown:
+            raise UnknownFeature(", ".join(unknown))
+        missing = [f.name for f in schema if f.name not in names]
+        if missing:  # as many columns as features, so some name repeats
+            repeated = sorted({n for n in names if names.count(n) > 1})
+            raise DataError(f"line {first}: header repeats {', '.join(repeated)} "
+                            f"and lacks {', '.join(missing)}")
+        order = [names.index(f.name) for f in schema]
+    values, line_nos = _read_rows(lines[first:], n_fields, first + 1, missing_ok=len(schema),
+                                  targets=(0.0, 1.0, 2.0, 3.0, 4.0))
+    return RawTable(schema=tuple(schema), cells=values[:, order],
+                    targets=values[:, -1].astype(np.int64), lines=tuple(line_nos))
+
+
+def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
+    """Parse rows of feature values without a target column, in schema order.
+
+    Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
+    is an error; returns a (rows, len(schema)) array.
+    """
+    X, lines = _read_rows(text.splitlines(), len(schema))
     _validate_values(schema, X, lines)
     return X
 
 
-def _check_raw_target(value: float) -> int:
-    if value not in (0.0, 1.0, 2.0, 3.0, 4.0):
-        raise OutOfRangeTarget(value)
-    return int(value)
-
-
-def binarize_target(raw_target: int) -> int:
-    """Fold the raw 0..4 diagnosis into the binary reading: 0 stays 0, 1..4 -> 1."""
-    _check_raw_target(float(raw_target))
-    return 0 if raw_target == 0 else 1
-
-
 def drop_incomplete(raw: RawTable) -> Dataset:
-    """Remove every row with a missing cell and binarize the target."""
-    keep_x, keep_y, keep_lines = [], [], []
-    for cells, target, line_no in zip(raw.cells, raw.targets, raw.lines):
-        if any(c is None for c in cells):
-            continue
-        keep_x.append(cells)
-        keep_y.append(binarize_target(target))
-        keep_lines.append(line_no)
-    if not keep_x:
+    """Remove every row with a missing cell and binarize the target: 0 stays 0, 1..4 -> 1."""
+    if not raw.n_rows:
+        raise EmptyDataset("the table has no data rows")
+    keep = ~np.isnan(raw.cells).any(axis=1)
+    if not keep.any():
         raise EmptyDataset("all rows contained missing values")
-    X = np.asarray(keep_x, dtype=np.float64)
-    y = np.asarray(keep_y, dtype=np.int64)
-    _validate_values(raw.schema, X, keep_lines)
-    return Dataset(schema=raw.schema, X=X, y=y)
+    X = raw.cells[keep]
+    _validate_values(raw.schema, X, np.asarray(raw.lines)[keep].tolist())
+    return Dataset(schema=raw.schema, X=X, y=(raw.targets[keep] > 0).astype(np.int64))
 
 
 def _validate_values(schema, X, lines):
@@ -257,7 +248,7 @@ def select_columns(ds: Dataset, keep) -> Dataset:
     idx = [by_name[name] for name in keep]
     return Dataset(
         schema=tuple(ds.schema[j] for j in idx),
-        X=ds.X[:, idx].copy(),
+        X=ds.X[:, idx],
         y=ds.y.copy(),
     )
 

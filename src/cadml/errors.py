@@ -45,9 +45,10 @@ class DisallowedValue(DataError):
 
 
 class OutOfRangeTarget(DataError):
-    def __init__(self, value):
+    def __init__(self, line_no, value):
+        self.line_no = line_no
         self.value = value
-        super().__init__(f"target value {value!r} outside 0..4")
+        super().__init__(f"line {line_no}: target value {value!r} outside 0..4")
 
 
 class EmptyDataset(DataError):

@@ -11,7 +11,6 @@ from cadml.dataset import (
     SELECTED_FEATURES,
     _parse_cell,
     _validate_values,
-    binarize_target,
     drop_incomplete,
     fit_standardization,
     parse_csv,
@@ -63,14 +62,15 @@ def test_parse_non_numeric_cell():
 
 def test_parse_missing_target_rejected():
     bad = GOOD_LINE.rsplit(",", 1)[0] + ",?"
-    with pytest.raises(NonNumericCell):
-        parse_csv(bad + "\n")
+    with pytest.raises(DataError, match=r"^line 2, column 13: missing value '\?'$"):
+        parse_csv(GOOD_LINE + "\n" + bad + "\n")
 
 
 def test_parse_out_of_range_target():
     bad = GOOD_LINE.rsplit(",", 1)[0] + ",5"
-    with pytest.raises(OutOfRangeTarget):
-        parse_csv(bad + "\n")
+    with pytest.raises(OutOfRangeTarget, match=r"^line 3: target value 5\.0 outside 0\.\.4$") as err:
+        parse_csv(GOOD_LINE + "\n\n" + bad + "\n")
+    assert err.value.line_no == 3
 
 
 def test_header_permutation_reorders_columns():
@@ -96,12 +96,15 @@ def test_header_repeated_feature():
         parse_csv(header + "\n" + GOOD_LINE + "\n", header=True)
 
 
-def test_binarize_target():
-    assert binarize_target(0) == 0
-    for v in (1, 2, 3, 4):
-        assert binarize_target(v) == 1
+def test_drop_incomplete_binarizes_target():
+    """0 stays 0 and every diagnosis 1..4 becomes 1."""
+    features = GOOD_LINE.rsplit(",", 1)[0]
+    raw = parse_csv("".join(f"{features},{t}\n" for t in (0, 1, 2, 3, 4)))
+    assert raw.targets.tolist() == [0, 1, 2, 3, 4]
+    ds = drop_incomplete(raw)
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 1, 1, 1, 1]
     with pytest.raises(OutOfRangeTarget):
-        binarize_target(7)
+        parse_csv(f"{features},7\n")
 
 
 def test_drop_incomplete_counts():
@@ -113,7 +116,17 @@ def test_drop_incomplete_counts():
 
 def test_drop_incomplete_all_missing():
     raw = parse_csv(MISSING_LINE + "\n")
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(EmptyDataset, match="^all rows contained missing values$"):
+        drop_incomplete(raw)
+
+
+@pytest.mark.parametrize("text, header", [
+    ("", False), ("\n \n\t\n", False), ("", True),
+    (",".join(f.name for f in CLEVELAND_SCHEMA) + ",target\n\n", True)])
+def test_drop_incomplete_no_data_rows(text, header):
+    raw = parse_csv(text, header=header)
+    assert raw.n_rows == 0 and raw.n_incomplete == 0
+    with pytest.raises(EmptyDataset, match="^the table has no data rows$"):
         drop_incomplete(raw)
 
 
@@ -195,6 +208,117 @@ def test_parse_features_matches_cell_by_cell_parse(lines):
         assert np.array_equal(got, want)
     else:
         assert got == want
+
+
+def cell_by_cell_parse_csv(text, schema, header):
+    """The first parse_csv, which parsed every cell with _parse_cell and kept
+    rows as tuples with None for '?', with the target errors naming their line
+    and a '?' target worded as parse_features words it; returns (rows,
+    targets, lines)."""
+    n_fields = len(schema) + 1
+    order = list(range(len(schema)))
+    rows, targets, lines = [], [], []
+    saw_header = not header
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise WrongFieldCount(line_no, n_fields, len(fields))
+        if not saw_header:
+            names = [f.strip() for f in fields[:-1]]
+            unknown = sorted(set(names) - {f.name for f in schema})
+            if unknown:
+                raise UnknownFeature(", ".join(unknown))
+            missing = [f.name for f in schema if f.name not in names]
+            if missing:
+                repeated = sorted({n for n in names if names.count(n) > 1})
+                raise DataError(f"line {line_no}: header repeats {', '.join(repeated)} "
+                                f"and lacks {', '.join(missing)}")
+            order = [names.index(f.name) for f in schema]
+            saw_header = True
+            continue
+        cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields[:-1])]
+        cells = [cells[pos] for pos in order]
+        raw_target = _parse_cell(fields[-1], line_no, len(schema))
+        if raw_target is None:
+            raise DataError(f"line {line_no}, column {len(schema)}: missing value '?'")
+        if raw_target not in (0.0, 1.0, 2.0, 3.0, 4.0):
+            raise OutOfRangeTarget(line_no, raw_target)
+        rows.append(tuple(cells))
+        targets.append(int(raw_target))
+        lines.append(line_no)
+    return rows, targets, lines
+
+
+def cell_by_cell_drop_incomplete(schema, rows, targets, lines):
+    """The first drop_incomplete, row by row, with an empty table named as such."""
+    if not rows:
+        raise EmptyDataset("the table has no data rows")
+    kept = [i for i, row in enumerate(rows) if None not in row]
+    if not kept:
+        raise EmptyDataset("all rows contained missing values")
+    X = np.asarray([rows[i] for i in kept], dtype=np.float64)
+    y = np.asarray([0 if targets[i] == 0 else 1 for i in kept], dtype=np.int64)
+    _validate_values(schema, X, [lines[i] for i in kept])
+    return X, y
+
+
+def _load_outcome(text, schema, header, oracle):
+    """The parsed row count, incomplete count and lines, then the cleaned X
+    and y as bytes; the first DataError, as (type, message), ends the list."""
+    outcome = []
+    try:
+        if oracle:
+            rows, targets, lines = cell_by_cell_parse_csv(text, schema, header)
+            outcome.append((len(rows), sum(None in row for row in rows), tuple(lines)))
+            X, y = cell_by_cell_drop_incomplete(schema, rows, targets, lines)
+        else:
+            raw = parse_csv(text, schema, header=header)
+            outcome.append((raw.n_rows, raw.n_incomplete, raw.lines))
+            ds = drop_incomplete(raw)
+            X, y = ds.X, ds.y
+        outcome.append((X.dtype, X.shape, X.tobytes(), y.dtype, y.shape, y.tobytes()))
+    except DataError as exc:
+        outcome.append((type(exc), str(exc)))
+    return outcome
+
+
+LOAD_SCHEMA = (FeatureSchema("a", CONTINUOUS), FeatureSchema("b", CONTINUOUS),
+               FeatureSchema("c", BINARY, (0.0, 1.0)))
+LOAD_NAMES = [f.name for f in LOAD_SCHEMA]
+_cell = st.sampled_from(["0", "1", " 1 ", "?", "-2.5e1", "1e308", "\t0.5\u00a0"])
+TARGETS = ["0", "1", "2", "3", "4", "5", "?"]
+
+
+def _row_of(kind):
+    if kind == 0:  # any width, every token
+        return st.lists(st.sampled_from(TOKENS + TARGETS), max_size=5)
+    if kind == 1:  # the right width, every token
+        return st.lists(st.sampled_from(TOKENS + TARGETS), min_size=4, max_size=4)
+    # the right width, from numbers, '?' and the diagnoses
+    return st.builds(lambda cells, target: cells + [target],
+                     st.lists(_cell, min_size=3, max_size=3), st.sampled_from(TARGETS))
+
+
+# no header, a permuted header, or one that repeats, lacks or misnames a column
+_header = (st.none() | st.permutations(LOAD_NAMES)
+           | st.lists(st.sampled_from(LOAD_NAMES + ["bogus"]), min_size=2, max_size=4))
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(0, 4).flatmap(_row_of), max_size=6), _header,
+       st.integers(0, 2))
+def test_parse_csv_matches_cell_by_cell_parse(rows, header_names, blank_lines):
+    """Blank lines, headers, wrong field counts, bad cells and bad targets give
+    the same counts, lines, X and y, or the same exception and message, as
+    parsing cell by cell and cleaning row by row."""
+    header = header_names is not None
+    text = "\n".join([" "] * blank_lines
+                     + ([",".join(header_names + ["target"])] if header else [])
+                     + [",".join(tokens) for tokens in rows])
+    got, want = (_load_outcome(text, LOAD_SCHEMA, header, oracle) for oracle in (False, True))
+    assert got == want
 
 
 def test_cleveland_load(cleveland):
