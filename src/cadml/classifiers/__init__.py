@@ -80,7 +80,7 @@ class FittedModel:
     def _transform(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.schema):
-            raise LengthMismatch(len(self.schema), X.shape)
+            raise LengthMismatch(expected=len(self.schema), got=X.shape)
         if self.scaling is None:
             return X
         with _overflow_is_data_error():

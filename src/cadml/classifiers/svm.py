@@ -205,7 +205,7 @@ def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMMod
     if solved is None:
         K = rbf_gram(ds.X, ds.X, params.sigma)
         if not (res := smo(K, y, params.C)).converged:
-            raise NotConverged(params.C, params.sigma, len(res.objective_trace))
+            raise NotConverged(C=params.C, sigma=params.sigma, steps=len(res.objective_trace))
         solved = dual_objective(K, y, res.alpha), res
     objective, res = solved
     sv = res.alpha > _ALPHA_EPS

@@ -400,8 +400,6 @@ def predict(model_path, records, data_path):
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(1)

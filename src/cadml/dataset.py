@@ -10,6 +10,7 @@ cells.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,6 +64,7 @@ CLEVELAND_SCHEMA: tuple[FeatureSchema, ...] = (
 # The seven features kept after feature selection and the six dropped ones.
 SELECTED_FEATURES = ("Cp", "MaxHeart", "ExAng", "OldPeak", "Slope", "MajorVessels", "Thal")
 REMOVED_FEATURES = ("Age", "Sex", "Chol", "fbs", "Restbp", "RestECG")
+_split_lines = re.compile(r"\r\n?|\n").split  # as editors number lines, not str.splitlines
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class Dataset:
 
     def __post_init__(self):
         if self.X.shape != (len(self.y), len(self.schema)):
-            raise LengthMismatch((len(self.y), len(self.schema)), self.X.shape)
+            raise LengthMismatch(expected=(len(self.y), len(self.schema)), got=self.X.shape)
 
     @property
     def n_rows(self) -> int:
@@ -118,9 +120,9 @@ def _parse_cell(token: str, line_no: int, column: int) -> float | None:
     try:
         value = float(token)
     except ValueError:
-        raise NonNumericCell(line_no, column, token) from None
+        raise NonNumericCell(line_no=line_no, column=column, value=token) from None
     if not math.isfinite(value):
-        raise NonNumericCell(line_no, column, token)
+        raise NonNumericCell(line_no=line_no, column=column, value=token)
     return value
 
 
@@ -138,7 +140,7 @@ def _read_rows(lines, width: int, first_line_no: int = 1, missing_ok: int = 0,
             continue
         fields = line.split(",")
         if len(fields) != width:
-            raise WrongFieldCount(line_no, width, len(fields))
+            raise WrongFieldCount(line_no=line_no, expected=width, got=len(fields))
         try:  # float() strips whitespace as _parse_cell does
             cells = list(map(float, fields))
         except ValueError:
@@ -152,7 +154,7 @@ def _read_rows(lines, width: int, first_line_no: int = 1, missing_ok: int = 0,
                 raise DataError(f"line {line_no}, column {col}: missing value '?'")
             cells = [math.nan if c is None else c for c in cells]
         if targets is not None and cells[-1] not in targets:
-            raise OutOfRangeTarget(line_no, cells[-1])
+            raise OutOfRangeTarget(line_no=line_no, value=cells[-1])
         values += cells
         line_nos.append(line_no)
     return np.asarray(values, dtype=np.float64).reshape(len(line_nos), width), line_nos
@@ -168,18 +170,18 @@ def parse_csv(text: str, schema: tuple[FeatureSchema, ...] = CLEVELAND_SCHEMA,
     reordered to schema order.
     """
     n_fields = len(schema) + 1
-    lines = text.splitlines()
+    lines = _split_lines(text)
     order = list(range(len(schema)))  # order[j] = position in the file of schema column j
     # index of the first data line: past the header, if there is one
     first = next((i + 1 for i, line in enumerate(lines) if line.strip()), 0) if header else 0
     if first:
         fields = lines[first - 1].split(",")
         if len(fields) != n_fields:
-            raise WrongFieldCount(first, n_fields, len(fields))
+            raise WrongFieldCount(line_no=first, expected=n_fields, got=len(fields))
         names = [f.strip() for f in fields[:-1]]
         unknown = sorted(set(names) - {f.name for f in schema})
         if unknown:
-            raise UnknownFeature(", ".join(unknown))
+            raise UnknownFeature(name=", ".join(unknown))
         missing = [f.name for f in schema if f.name not in names]
         if missing:  # as many columns as features, so some name repeats
             repeated = sorted({n for n in names if names.count(n) > 1})
@@ -198,7 +200,7 @@ def parse_features(text: str, schema: tuple[FeatureSchema, ...]) -> np.ndarray:
     Cells parse as in parse_csv, but a missing ('?') or out-of-schema value
     is an error; returns a (rows, len(schema)) array.
     """
-    X, lines = _read_rows(text.splitlines(), len(schema))
+    X, lines = _read_rows(_split_lines(text), len(schema))
     _validate_values(schema, X, lines)
     return X
 
@@ -223,7 +225,7 @@ def _validate_values(schema, X, lines):
         bad = ~np.isin(X[:, j], feat.allowed_values)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise DisallowedValue(lines[i], feat, float(X[i, j]))
+            raise DisallowedValue(line_no=lines[i], feature=feat, value=float(X[i, j]))
 
 
 def read_text(path) -> str:
@@ -244,7 +246,7 @@ def select_columns(ds: Dataset, keep) -> Dataset:
     by_name = {f.name: j for j, f in enumerate(ds.schema)}
     for name in keep:
         if name not in by_name:
-            raise UnknownFeature(name)
+            raise UnknownFeature(name=name)
     idx = [by_name[name] for name in keep]
     return Dataset(
         schema=tuple(ds.schema[j] for j in idx),

@@ -7,7 +7,13 @@ evaluating models. The CLI maps them to distinct exit codes.
 
 
 class CadmlError(Exception):
-    pass
+    template = None  # if set, the message is formatted from the keyword fields
+
+    def __init__(self, message=None, /, **fields):
+        self.__dict__.update(fields)
+        if self.template is not None:
+            message = self.template.format(**fields)
+        super().__init__(*(() if message is None else (message,)))
 
 
 class DataError(CadmlError):
@@ -19,36 +25,20 @@ class TrainingError(CadmlError):
 
 
 class WrongFieldCount(DataError):
-    def __init__(self, line_no, expected, got):
-        self.line_no = line_no
-        self.expected = expected
-        self.got = got
-        super().__init__(f"line {line_no}: expected {expected} fields, got {got}")
+    template = "line {line_no}: expected {expected} fields, got {got}"
 
 
 class NonNumericCell(DataError):
-    def __init__(self, line_no, column, value):
-        self.line_no = line_no
-        self.column = column
-        self.value = value
-        super().__init__(f"line {line_no}, column {column}: {value!r} "
-                         "is neither '?' nor a finite number")
+    template = "line {line_no}, column {column}: {value!r} is neither '?' nor a finite number"
 
 
 class DisallowedValue(DataError):
-    def __init__(self, line_no, feature, value):
-        self.line_no = line_no
-        self.feature = feature
-        self.value = value
-        super().__init__(f"line {line_no}: {feature.name} value {value!r} is not one of "
-                         f"{feature.allowed_values}")
+    template = ("line {line_no}: {feature.name} value {value!r} is not one of "
+                "{feature.allowed_values}")
 
 
 class OutOfRangeTarget(DataError):
-    def __init__(self, line_no, value):
-        self.line_no = line_no
-        self.value = value
-        super().__init__(f"line {line_no}: target value {value!r} outside 0..4")
+    template = "line {line_no}: target value {value!r} outside 0..4"
 
 
 class EmptyDataset(DataError):
@@ -56,9 +46,7 @@ class EmptyDataset(DataError):
 
 
 class UnknownFeature(DataError):
-    def __init__(self, name):
-        self.name = name
-        super().__init__(f"unknown feature {name!r}")
+    template = "unknown feature {name!r}"
 
 
 class EmptyInput(DataError):
@@ -70,10 +58,7 @@ class EmptyMatrix(DataError):
 
 
 class LengthMismatch(DataError):
-    def __init__(self, expected, got):
-        self.expected = expected
-        self.got = got
-        super().__init__(f"expected length {expected}, got {got}")
+    template = "expected length {expected}, got {got}"
 
 
 class SingleClassData(TrainingError):
@@ -85,11 +70,7 @@ class TooFewRows(TrainingError):
 
 
 class TooFewPerClass(TrainingError):
-    def __init__(self, label, count, k):
-        self.label = label
-        self.count = count
-        self.k = k
-        super().__init__(f"class {label} has {count} rows, fewer than k={k} folds")
+    template = "class {label} has {count} rows, fewer than k={k} folds"
 
 
 class AllCandidatesFailed(TrainingError):
@@ -97,9 +78,4 @@ class AllCandidatesFailed(TrainingError):
 
 
 class NotConverged(TrainingError):
-    def __init__(self, C, sigma, steps):
-        self.C = C
-        self.sigma = sigma
-        self.steps = steps
-        super().__init__(f"the SVM with C={C!r}, sigma={sigma!r} did not converge "
-                         f"in {steps} SMO steps")
+    template = "the SVM with C={C!r}, sigma={sigma!r} did not converge in {steps} SMO steps"

@@ -52,7 +52,7 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
     for cls in (1, 0):  # positive class dealt first
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
-            raise TooFewPerClass(cls, len(idx), k)
+            raise TooFewPerClass(label=cls, count=len(idx), k=k)
         idx = idx.copy()
         rng = np.random.Generator(np.random.Philox(seed + cls))
         rng.shuffle(idx)
@@ -86,7 +86,7 @@ def confusion(predicted, actual) -> ConfusionMatrix:
     predicted = np.asarray(predicted)
     actual = np.asarray(actual)
     if predicted.shape != actual.shape:
-        raise LengthMismatch(actual.shape, predicted.shape)
+        raise LengthMismatch(expected=actual.shape, got=predicted.shape)
     return ConfusionMatrix(
         tp=int(np.sum((predicted == 1) & (actual == 1))),
         fp=int(np.sum((predicted == 1) & (actual == 0))),

@@ -232,6 +232,8 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", edit_json(first_prob_negative)),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(bias=float("nan")))),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["params"].update(sigma=float("inf")))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["params"].update(C=0))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"]["params"].update(sigma=-0.5))),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(
         use_kernel_density="false"))),
     (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(k=3.9))),
@@ -266,6 +268,7 @@ def set_gaussian(key, value):
         "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut", "nb-var-0",
         "nb-var-negative", "nb-mean-string", "nb-prior-0", "nb-prior-negative", "knn-std-0",
         "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf",
+        "svm-C-0", "svm-sigma-negative",
         "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan",
         "svm-converged-string", "svm-dual-objective-bool", "knn-version-2", "nb-version-string",
         "format-true", "svm-bias-string", "svm-bias-huge-int", "knn-exemplar-string",
@@ -285,6 +288,19 @@ def test_predict_bad_input_is_data_error(tmp_path, capsys, record, algorithm, ed
     assert err.startswith("data error:") and "Traceback" not in err
     # a bad model file is reported at load, not when the model is applied
     assert ("is not a cadml model" in err) == (edit_model is not None)
+
+
+def test_kde_without_samples_is_data_error(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    save_model(fit_model(ds, NBParams(use_kernel_density=True)), model_path)
+    # feature_stats[0][1] is the kernel density of MaxHeart in class 0
+    cut = edit_json(lambda d: d["model"]["feature_stats"][0][1].update(samples=[]))
+    model_path.write_text(cut(model_path.read_text()))
+    assert run_cli(["predict", "--model", str(model_path), "--record", GOOD_RECORD]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "is not a cadml model" in err
+    assert "kde without samples" in err
 
 
 @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
@@ -424,7 +440,10 @@ def test_exit_code_usage_error():
      "bandwidth_adjust": 1},
     {"algorithm": "nb", "use_kernel_density": False, "laplace": 0,
      "bandwidth_adjust": float("nan")},
-], ids=["kde-string", "k-fraction", "k-bool", "laplace-nan", "bandwidth-nan"])
+    {"algorithm": "svm", "C": 0, "sigma": 1},
+    {"algorithm": "svm", "C": 1, "sigma": -0.5},
+], ids=["kde-string", "k-fraction", "k-bool", "laplace-nan", "bandwidth-nan", "svm-C-0",
+        "svm-sigma-negative"])
 def test_tune_grid_takes_only_json_typed_values(capsys, record):
     assert run_cli(["tune", "--data", DATA_PATH, "--grid", json.dumps([record])]) == 1
     assert "--grid" in capsys.readouterr().err
@@ -445,6 +464,21 @@ def test_keep_repeating_a_feature_is_usage_error(capsys, command):
     assert run_cli([command, "--data", DATA_PATH, "--keep", "Cp,Cp,Thal", *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--keep" in err and "repeats" in err
+
+
+@pytest.mark.parametrize("algorithm", ["knn", "svm"])
+def test_predict_text_without_posteriors(tmp_path, capsys, algorithm):
+    """k-NN and SVM reports give one label per record and no posterior."""
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    fitted = fit_model(ds, ALGORITHMS[algorithm].params(), scaling=default_scaling(algorithm))
+    model_path = tmp_path / "model.json"
+    save_model(fitted, model_path)
+    records = [GOOD_RECORD, "4,109,1,2.4,2,1,3"]
+    X = np.array([[float(v) for v in record.split(",")] for record in records])
+    assert run_cli(["predict", "--model", str(model_path), "--record", records[0],
+                    "--record", records[1], "--format", "text"]) == 0
+    labels = fitted.predict_batch(X).tolist()
+    assert capsys.readouterr().out == "".join(f"label={label}\n" for label in labels)
 
 
 def test_exit_code_missing_file():
@@ -491,6 +525,18 @@ def test_exit_code_training_error(tmp_path):
     assert run_cli(["cv", "--data", str(small)]) == 3
 
 
+def test_line_numbers_count_as_editors_do(tmp_path, capsys):
+    """A form feed at the end of line 1 ends no line, so the bad target of
+    the third line is reported on line 3."""
+    rows = Path(DATA_PATH).read_text().splitlines()[:3]
+    rows[0] += "\f"
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",7"
+    bad = tmp_path / "formfeed.data"
+    bad.write_text("\n".join(rows) + "\n")
+    assert run_cli(["inspect", "--data", str(bad)]) == 2
+    assert capsys.readouterr().err == "data error: line 3: target value 7.0 outside 0..4\n"
+
+
 def test_keep_unknown_feature_is_data_error():
     assert run_cli(["cv", "--data", DATA_PATH, "--keep", "Bogus"]) == 2
 
@@ -509,6 +555,12 @@ def test_subset_fast_run(tmp_path):
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [["--help"], ["cv", "--help"]])
+def test_help_flag(capsys, args):
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out.startswith("Usage: ")
 
 
 def test_predict_loads_no_training_module(nb_model_path):

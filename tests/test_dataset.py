@@ -13,6 +13,7 @@ from cadml.dataset import (
     _validate_values,
     drop_incomplete,
     fit_standardization,
+    load_dataset,
     parse_csv,
     parse_features,
     select_columns,
@@ -161,6 +162,31 @@ def test_parse_features():
     assert err.value.line_no == 4
 
 
+@pytest.mark.parametrize("mark", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_line_numbers_count_only_cr_and_lf(mark):
+    """Lines end at \\r\\n, \\r and \\n, as editors number them; the other
+    breaks of str.splitlines, here at the end of line 1, end no line."""
+    features = GOOD_LINE.rsplit(",", 1)[0]
+    with pytest.raises(OutOfRangeTarget, match="^line 3: ") as err:
+        parse_csv(f"{GOOD_LINE}{mark}\n{GOOD_LINE}\n{features},7\n")
+    assert err.value.line_no == 3
+    with pytest.raises(DisallowedValue, match="^line 3: Thal value 5.0"):
+        parse_features(f"{features}{mark}\n{features}\n{features.replace(',6.0', ',5.0')}\n",
+                       CLEVELAND_SCHEMA)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_tables_load(tmp_path, data_path, cleveland, newline):
+    text = open(data_path, "r", encoding="utf-8").read()
+    raw = parse_csv(text.replace("\n", newline))
+    assert raw.lines == parse_csv(text).lines
+    path = tmp_path / "table.data"
+    path.write_bytes(text.replace("\n", newline).encode())
+    for ds in (drop_incomplete(raw), load_dataset(path)):
+        assert ds.n_rows == 297
+        assert ds.X.tobytes() == cleveland.X.tobytes() and ds.y.tobytes() == cleveland.y.tobytes()
+
+
 def cell_by_cell_parse_features(text, schema):
     """The first parse_features, which parsed every cell with _parse_cell."""
     rows, lines = [], []
@@ -169,7 +195,7 @@ def cell_by_cell_parse_features(text, schema):
             continue
         fields = line.split(",")
         if len(fields) != len(schema):
-            raise WrongFieldCount(line_no, len(schema), len(fields))
+            raise WrongFieldCount(line_no=line_no, expected=len(schema), got=len(fields))
         cells = [_parse_cell(tok, line_no, col) for col, tok in enumerate(fields)]
         if None in cells:
             raise DataError(f"line {line_no}, column {cells.index(None)}: missing value '?'")
@@ -224,12 +250,12 @@ def cell_by_cell_parse_csv(text, schema, header):
             continue
         fields = line.split(",")
         if len(fields) != n_fields:
-            raise WrongFieldCount(line_no, n_fields, len(fields))
+            raise WrongFieldCount(line_no=line_no, expected=n_fields, got=len(fields))
         if not saw_header:
             names = [f.strip() for f in fields[:-1]]
             unknown = sorted(set(names) - {f.name for f in schema})
             if unknown:
-                raise UnknownFeature(", ".join(unknown))
+                raise UnknownFeature(name=", ".join(unknown))
             missing = [f.name for f in schema if f.name not in names]
             if missing:
                 repeated = sorted({n for n in names if names.count(n) > 1})
@@ -244,7 +270,7 @@ def cell_by_cell_parse_csv(text, schema, header):
         if raw_target is None:
             raise DataError(f"line {line_no}, column {len(schema)}: missing value '?'")
         if raw_target not in (0.0, 1.0, 2.0, 3.0, 4.0):
-            raise OutOfRangeTarget(line_no, raw_target)
+            raise OutOfRangeTarget(line_no=line_no, value=raw_target)
         rows.append(tuple(cells))
         targets.append(int(raw_target))
         lines.append(line_no)

@@ -43,6 +43,16 @@ def test_entropy_bounds(labels):
     assert -1e-12 <= h <= math.log2(max(k, 2)) + 1e-12
 
 
+@pytest.mark.parametrize("score", [
+    lambda: discretize_mdl([], []),
+    lambda: info_gain([], [], CONTINUOUS),
+    lambda: correlation_score([], []),
+], ids=["discretize_mdl", "info_gain", "correlation"])
+def test_empty_column_is_empty_input(score):
+    with pytest.raises(EmptyInput):
+        score()
+
+
 def test_discretize_mdl_accepts_clean_split():
     cuts = discretize_mdl([1.0, 2.0, 3.0, 4.0], [0, 0, 1, 1])
     assert cuts == [2.5]

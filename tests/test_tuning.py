@@ -127,6 +127,15 @@ def test_nb_params_reject_non_finite(kwargs):
         NBParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"C": 0.0}, {"C": -1.0}, {"C": math.inf}, {"C": math.nan},
+    {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.inf}, {"sigma": math.nan},
+])
+def test_svm_params_reject_non_positive_or_non_finite(kwargs):
+    with pytest.raises(ValueError, match="^C and sigma must be positive and finite$"):
+        SVMParams(**kwargs)
+
+
 def test_params_from_dict_reads_json_numbers():
     assert params_from_dict({"algorithm": "svm", "C": 1, "sigma": 0.5}) == SVMParams(C=1.0, sigma=0.5)
     assert params_from_dict({"algorithm": "knn", "k": 3.0}) == KNNParams(k=3)
