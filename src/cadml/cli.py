@@ -77,7 +77,7 @@ _METRIC_TEMPLATE = "{:>10}{:>10}{:>13}{:>11}"  # laid out for _metric_cells
 
 def _metric_cells(rep) -> list[str]:
     """accuracy, recall, specificity and precision; "n/a" where undefined."""
-    from .tuning import METRIC_NAMES
+    from .evaluation import METRIC_NAMES
     values = [getattr(rep, metric) for metric in METRIC_NAMES]
     return ["n/a" if value is None else f"{value:.4f}" for value in values]
 
@@ -134,8 +134,7 @@ def subset_report(ds, config: dict, folds: int, seed: int, stale_limit: int = 5,
 
 def cv_report(ds, config: dict, algorithm: str, folds: int, seed: int, scaling: bool) -> Report:
     """Stratified k-fold cross-validation of one algorithm at its default params."""
-    from .evaluation import cross_validate
-    from .tuning import METRIC_NAMES
+    from .evaluation import METRIC_NAMES, cross_validate
     result = cross_validate(ds, ALGORITHMS[algorithm].params(), folds, seed, scaling=scaling)
     named = [*((str(i), rep) for i, rep in enumerate(result.per_fold)), ("pooled", result.pooled)]
     return Report(
@@ -172,7 +171,8 @@ def tune_report(ds, config: dict, grid: Grid, folds: int, seed: int, scaling: bo
 
 def compare_report(ds, config: dict, folds: int, seed: int, scaling: bool) -> Report:
     """Tune all three algorithms on identical folds and compare their winners."""
-    from .tuning import METRIC_NAMES, compare_models
+    from .evaluation import METRIC_NAMES
+    from .tuning import compare_models
     report = compare_models(ds, folds, seed, scaling=scaling)
     heading = ["model", *METRIC_NAMES, "best_params"]
     cells = [[algo, *_metric_cells(tr.best_cv.pooled),
@@ -273,7 +273,7 @@ def _loads_table(default_keep=None):
     return decorate
 
 
-@click.group()
+@click.group(no_args_is_help=False)
 @click.version_option(version=__version__)
 def cli():
     """Heart-disease classification pipeline on the Cleveland dataset."""

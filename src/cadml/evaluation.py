@@ -53,11 +53,9 @@ def stratified_folds(labels, k: int, seed: int) -> FoldAssignment:
         idx = np.flatnonzero(labels == cls)
         if len(idx) < k:
             raise TooFewPerClass(label=cls, count=len(idx), k=k)
-        idx = idx.copy()
         rng = np.random.Generator(np.random.Philox(seed + cls))
         rng.shuffle(idx)
-        for pos, row in enumerate(idx):
-            fold_of_row[row] = (offset + pos) % k
+        fold_of_row[idx] = (offset + np.arange(len(idx))) % k
         # start the next class where this one left off so fold sizes stay even
         offset = (offset + len(idx)) % k
     return FoldAssignment(fold_of_row=fold_of_row, k=k, seed=seed)
@@ -95,6 +93,9 @@ def confusion(predicted, actual) -> ConfusionMatrix:
     )
 
 
+METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """The four metrics; a zero-denominator metric is None, rendered "n/a"."""
@@ -106,13 +107,7 @@ class MetricsReport:
     matrix: ConfusionMatrix
 
     def to_dict(self):
-        return {
-            "accuracy": self.accuracy,
-            "recall": self.recall,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "matrix": self.matrix.to_dict(),
-        }
+        return {**{m: getattr(self, m) for m in METRIC_NAMES}, "matrix": self.matrix.to_dict()}
 
 
 def _ratio(num: int, den: int) -> float | None:
@@ -229,11 +224,9 @@ def _solve_svm_group(trains, start: int, candidates, live, workspace) -> dict:
 
 
 def cross_validate(ds: Dataset, params: HyperParams, k: int, seed: int,
-                   scaling: bool = False, folds: FoldAssignment | None = None) -> CVResult:
+                   scaling: bool = False) -> CVResult:
     """cross_validate_candidates of params alone; raises its error."""
-    if folds is None:
-        folds = stratified_folds(ds.y, k, seed)
-    (result,) = cross_validate_candidates(ds, (params,), folds, scaling)
+    (result,) = cross_validate_candidates(ds, (params,), stratified_folds(ds.y, k, seed), scaling)
     if isinstance(result, CadmlError):
         raise result
     return result

@@ -4,7 +4,8 @@ Two rankers: information gain (continuous features binned by supervised MDL
 discretization, discrete features by their codes) and absolute Pearson
 correlation against the 0/1 label. The discretization scores every candidate
 cut of a node at once from one running count per class, since the entropy of
-each side needs only its class counts (Fayyad & Irani, IJCAI 1993). The
+each side needs only its class counts, and the MDL test (Fayyad & Irani, IJCAI
+1993) reads its class numbers and entropies from the same counts. The
 wrapper is a greedy best-first search over feature subsets whose objective is
 the mean cross-validated accuracy of naive Bayes, stopping after a fixed
 number of consecutive non-improving expansions.
@@ -32,35 +33,25 @@ def entropy(labels) -> float:
     if labels.size == 0:
         raise EmptyInput("entropy of an empty multiset")
     _, counts = np.unique(labels, return_counts=True)
-    p = counts / labels.size
-    return float(-np.sum(p * np.log2(p)))
+    return float(_entropies(counts[:, None])[0])
 
 
-def _cut_gains(labels, boundaries, base):
-    """Information gain of the cut before index b, for every b in boundaries,
-    from one running count per class. The float operations are entropy()'s on
-    each side (each class's term subtracted in class order, a class missing
-    from a side adding nothing), then base minus the size-weighted sum."""
+def _entropies(counts):
+    """Shannon entropy, in bits, of each column of a (classes, m) count array:
+    each class's term added in class order, a zero count adding nothing."""
+    p = counts / counts.sum(axis=0)
+    return -np.sum(p * np.log2(p, where=counts > 0, out=np.ones(counts.shape)), axis=0)
+
+
+def _cut_scan(labels, boundaries):
+    """Class counts (columns: the node, the m left sides, the m right sides of
+    the cuts before each b in boundaries), their entropies, and each cut's gain."""
     n, m = len(labels), len(boundaries)
-    sizes = np.concatenate([boundaries, n - boundaries])
-    h = np.zeros(2 * m)  # the entropies of the m left sides, then the m right sides
-    for c in np.unique(labels):
-        running = np.cumsum(labels == c)
-        left = running[boundaries - 1]
-        counts = np.concatenate([left, running[-1] - left])
-        p = counts / sizes
-        h -= p * np.log2(p, where=counts > 0, out=np.ones(2 * m))
-    return base - (boundaries / n * h[:m] + (n - boundaries) / n * h[m:])
-
-
-def _mdl_accepts(labels, left, right, gain) -> bool:
-    n = len(labels)
-    k = len(np.unique(labels))
-    k1 = len(np.unique(left))
-    k2 = len(np.unique(right))
-    delta = math.log2(3.0**k - 2.0) - (k * entropy(labels)
-                                       - k1 * entropy(left) - k2 * entropy(right))
-    return gain > (math.log2(n - 1) + delta) / n
+    running = np.cumsum(labels == np.unique(labels)[:, None], axis=1)
+    total, left = running[:, -1:], running[:, boundaries - 1]
+    counts = np.concatenate([total, left, total - left], axis=1)
+    h = _entropies(counts)
+    return counts, h, h[0] - (boundaries / n * h[1:m + 1] + (n - boundaries) / n * h[m + 1:])
 
 
 def discretize_mdl(values, labels) -> list[float]:
@@ -71,31 +62,29 @@ def discretize_mdl(values, labels) -> list[float]:
     if values.size == 0:
         raise EmptyInput("cannot discretize an empty column")
     order = np.argsort(values, kind="stable")
-    cuts: list[float] = []
-    _mdl_recurse(values[order], labels[order], cuts)
-    return sorted(cuts)
+    return _mdl_recurse(values[order], labels[order])
 
 
-def _mdl_recurse(values, labels, cuts) -> None:
-    # values sorted ascending
-    n = len(values)
-    base = entropy(labels)
-    if n < 2 or base == 0.0:
-        return
+def _mdl_recurse(values, labels) -> list[float]:
+    # values sorted ascending, so the cuts come out in order
     boundaries = np.flatnonzero(np.diff(values) > 0) + 1  # split before index b
-    if boundaries.size == 0:
-        return
-    gains = _cut_gains(labels, boundaries, base)
-    best_gain, best_b = -1.0, -1
-    for b, gain in zip(boundaries.tolist(), gains.tolist()):
+    counts, h, gains = _cut_scan(labels, boundaries)
+    if boundaries.size == 0 or h[0] == 0.0:
+        return []
+    best, best_gain = 0, -1.0
+    for i, gain in enumerate(gains.tolist()):
         if gain > best_gain + 1e-12:
-            best_gain, best_b = gain, b
-    left, right = labels[:best_b], labels[best_b:]
-    if not _mdl_accepts(labels, left, right, best_gain):
-        return
-    cuts.append(0.5 * (values[best_b - 1] + values[best_b]))
-    _mdl_recurse(values[:best_b], left, cuts)
-    _mdl_recurse(values[best_b:], right, cuts)
+            best, best_gain = i, gain
+    # Fayyad & Irani's MDL test: k, k1 and k2 count the classes in the node and on each side
+    n, sides = len(labels), [0, 1 + best, 1 + len(boundaries) + best]
+    k, k1, k2 = np.count_nonzero(counts[:, sides], axis=0).tolist()
+    h0, h1, h2 = h[sides].tolist()
+    delta = math.log2(3.0**k - 2.0) - (k * h0 - k1 * h1 - k2 * h2)
+    if not best_gain > (math.log2(n - 1) + delta) / n:
+        return []
+    b = int(boundaries[best])
+    return [*_mdl_recurse(values[:b], labels[:b]), 0.5 * (values[b - 1] + values[b]),
+            *_mdl_recurse(values[b:], labels[b:])]
 
 
 def info_gain(values, labels, kind: str) -> float:
@@ -156,15 +145,11 @@ def rank_features(ds: Dataset, evaluator: str) -> RankedList:
         raise ValueError(f"unknown evaluator {evaluator!r}")
     scores = []
     for j, feat in enumerate(ds.schema):
-        col = ds.X[:, j]
-        if evaluator == "info_gain":
-            s = info_gain(col, ds.y, feat.kind)
-        else:
-            s = correlation_score(col, ds.y)
-        scores.append((j, FeatureScore(feature=feat.name, score=s)))
-    # descending score, schema order on ties
-    scores.sort(key=lambda t: (-t[1].score, t[0]))
-    return RankedList(entries=tuple(fs for _, fs in scores))
+        s = (info_gain(ds.X[:, j], ds.y, feat.kind) if evaluator == "info_gain"
+             else correlation_score(ds.X[:, j], ds.y))
+        scores.append(FeatureScore(feature=feat.name, score=s))
+    scores.sort(key=lambda fs: -fs.score)  # a stable sort: schema order on ties
+    return RankedList(entries=tuple(scores))
 
 
 @dataclass(frozen=True)
@@ -233,29 +218,23 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
     best_subset, best_score = start, max(ds.class_counts()) / ds.n_rows
     open_heap = [(-best_score, 0, start)]  # (-score, discovery order, subset)
     discovered = {start}
-    counter = 1
-    stale = 0
-    expansions = 0
+    stale = expansions = 0
     while open_heap:
         _, _, node = heapq.heappop(open_heap)
         expansions += 1
         improved = False
         for name in names:
-            child = node | {name} if name not in node else node - {name}
+            child = node ^ {name}
             if child in discovered:
                 continue
             discovered.add(child)
             score = objective(child)
-            heapq.heappush(open_heap, (-score, counter, child))
-            counter += 1
+            heapq.heappush(open_heap, (-score, len(discovered), child))
             if score > best_score + min_improvement:
                 best_subset, best_score = child, score
                 improved = True
-        if improved:
-            stale = 0
-        else:
-            stale += 1
-            if stale_limit is not None and stale >= stale_limit:
-                break
+        stale = 0 if improved else stale + 1
+        if stale_limit is not None and stale >= stale_limit:
+            break
     selected = tuple(n for n in names if n in best_subset)
     return SubsetSearchResult(selected=selected, objective=best_score, expansions=expansions)

@@ -25,7 +25,7 @@ from .classifiers import (
 )
 from .dataset import Dataset
 from .errors import AllCandidatesFailed, CadmlError, TrainingError
-from .evaluation import CVResult, FoldAssignment, cross_validate_candidates, stratified_folds
+from .evaluation import METRIC_NAMES, CVResult, cross_validate_candidates, stratified_folds
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,13 @@ class TuneResult:
 
 
 def grid_search(ds: Dataset, grid: Grid, k: int, seed: int,
-                scaling: bool | None = None,
-                folds: FoldAssignment | None = None) -> TuneResult:
+                scaling: bool | None = None) -> TuneResult:
     if scaling is None:
         scaling = default_scaling(grid.algorithm)
-    if folds is None:
-        folds = stratified_folds(ds.y, k, seed)
     per_candidate = []
     results = []
     errors = []
+    folds = stratified_folds(ds.y, k, seed)
     outcomes = cross_validate_candidates(ds, grid.candidates, folds, scaling)
     for params, cv in zip(grid.candidates, outcomes):
         if isinstance(cv, TrainingError):
@@ -112,27 +110,20 @@ class ComparisonReport:
             rows[algo] = {
                 "best_params": tr.best.to_dict(),
                 "mean_accuracy": tr.best_cv.mean_accuracy,
-                "accuracy": pooled.accuracy,
-                "recall": pooled.recall,
-                "specificity": pooled.specificity,
-                "precision": pooled.precision,
+                **{m: getattr(pooled, m) for m in METRIC_NAMES},
             }
         return {"models": rows, "best_per_metric": self.best_per_metric}
-
-
-METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")
 
 
 def compare_models(ds: Dataset, k: int, seed: int, scaling: bool = True) -> ComparisonReport:
     """Tune all three algorithms on identical folds and compare the winners'
     pooled held-out metrics. Each algorithm gets its default_scaling, or
     none with scaling=False."""
-    folds = stratified_folds(ds.y, k, seed)
     grids = default_grids()
     per_algorithm = {}
     for algo in ALGORITHMS:
         per_algorithm[algo] = grid_search(ds, grids[algo], k, seed,
-                                          scaling=scaling and default_scaling(algo), folds=folds)
+                                          scaling=scaling and default_scaling(algo))
     best_per_metric = {}
     for metric in METRIC_NAMES:
         values = {

@@ -563,6 +563,14 @@ def test_help_flag(capsys, args):
     assert capsys.readouterr().out.startswith("Usage: ")
 
 
+@pytest.mark.parametrize("args,message", [([], "Missing command."),
+                                          (["nosuch"], "No such command 'nosuch'.")])
+def test_missing_or_unknown_command_is_one_line_usage_error(capsys, args, message):
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n" and captured.out == ""
+
+
 def test_predict_loads_no_training_module(nb_model_path):
     """A fresh process that imports the CLI and runs predict never loads the
     training modules, so the rank command spells out their evaluators."""

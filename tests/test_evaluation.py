@@ -163,5 +163,5 @@ def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, clevelan
         assert got.bias == want.bias
         assert got.dual_objective == want.dual_objective
     for params, result in zip(grid, results):
-        alone = cross_validate(view, params, 10, 2018, scaling=True, folds=folds)
+        alone = cross_validate(view, params, 10, 2018, scaling=True)
         assert result.to_dict() == alone.to_dict()

@@ -11,8 +11,7 @@ from cadml.evaluation import cross_validate, stratified_folds
 from cadml import feature_selection
 from cadml.feature_selection import (
     SubsetSearchResult,
-    _cut_gains,
-    _mdl_accepts,
+    _cut_scan,
     best_first_subset,
     correlation_score,
     discretize_mdl,
@@ -81,7 +80,9 @@ def test_discretize_mdl_cuts_inside_range(pairs):
 
 def oracle_discretize_mdl(values, labels) -> list[float]:
     """discretize_mdl scoring each boundary cut on its own, with a boolean mask
-    and two entropy() calls: the reference the running-count scan must equal."""
+    and two entropy() calls, and taking the MDL test's class numbers and
+    entropies from each side's labels: the reference the running-count scan
+    must equal."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     order = np.argsort(values, kind="stable")
@@ -101,6 +102,16 @@ def _oracle_split_entropy(labels, mask) -> float:
     return h
 
 
+def _oracle_mdl_accepts(labels, left, right, gain) -> bool:
+    n = len(labels)
+    k = len(np.unique(labels))
+    k1 = len(np.unique(left))
+    k2 = len(np.unique(right))
+    delta = math.log2(3.0**k - 2.0) - (k * entropy(labels)
+                                       - k1 * entropy(left) - k2 * entropy(right))
+    return gain > (math.log2(n - 1) + delta) / n
+
+
 def _oracle_mdl_recurse(values, labels, cuts) -> None:
     n = len(values)
     if n < 2 or entropy(labels) == 0.0:
@@ -117,7 +128,7 @@ def _oracle_mdl_recurse(values, labels, cuts) -> None:
         if gain > best_gain + 1e-12:
             best_gain, best_b = gain, int(b)
     left, right = labels[:best_b], labels[best_b:]
-    if not _mdl_accepts(labels, left, right, best_gain):
+    if not _oracle_mdl_accepts(labels, left, right, best_gain):
         return
     cuts.append(0.5 * (values[best_b - 1] + values[best_b]))
     _oracle_mdl_recurse(values[:best_b], left, cuts)
@@ -154,16 +165,21 @@ def test_discretize_mdl_matches_per_cut_oracle(column):
 @given(mdl_columns())
 @settings(max_examples=50, deadline=None)
 def test_cut_gains_equal_per_cut_oracle(column):
-    """Bit for bit, not only in the cut they lead to."""
+    """Bit for bit, not only in the cut they lead to: every gain, and the
+    entropy of the node and of each side of every cut."""
     values, labels = column
     labels = labels[np.argsort(values, kind="stable")]
-    base, boundaries = entropy(labels), np.arange(1, len(labels))
+    n, base, boundaries = len(labels), entropy(labels), np.arange(1, len(labels))
     expected = []
     for b in boundaries:
-        mask = np.zeros(len(labels), dtype=bool)
+        mask = np.zeros(n, dtype=bool)
         mask[:b] = True
         expected.append(base - _oracle_split_entropy(labels, mask))
-    assert _cut_gains(labels, boundaries, base).tolist() == expected
+    counts, h, gains = _cut_scan(labels, boundaries)
+    assert gains.tolist() == expected
+    assert h.tolist() == ([base] + [entropy(labels[:b]) for b in boundaries]
+                          + [entropy(labels[b:]) for b in boundaries])
+    assert counts.sum(axis=0).tolist() == [n, *boundaries, *(n - boundaries)]
 
 
 def test_info_gain_ranking_matches_per_cut_oracle(cleveland, monkeypatch):
@@ -232,10 +248,14 @@ def test_rank_features_orders_by_score():
 
 def test_rank_features_tie_breaks_by_schema_order():
     y = np.array([0, 0, 1, 1])
-    X = np.column_stack([y.astype(float), y.astype(float)])
+    noise = np.array([1.0, 2.0, 2.0, 1.0])
+    X = np.column_stack([noise, y.astype(float), noise, y.astype(float)])
     ds = make_dataset(X, y)
-    ranked = rank_features(ds, "correlation")
-    assert ranked.names() == ("x0", "x1")
+    for evaluator in ("correlation", "info_gain"):
+        ranked = rank_features(ds, evaluator)
+        assert ranked.names() == ("x1", "x3", "x0", "x2")
+        scores = [e.score for e in ranked.entries]
+        assert scores[0] == scores[1] > scores[2] == scores[3]
 
 
 def test_rank_features_unknown_evaluator(cleveland):
@@ -273,7 +293,6 @@ def oracle_best_first_subset(ds, wrapped, folds, seed, stale_limit, min_improvem
     """The best-first search scoring every subset with a full cross_validate on
     its own columns: the reference the additive objective must equal exactly."""
     names = ds.feature_names
-    assignment = stratified_folds(ds.y, folds, seed)
     majority = max(ds.class_counts()) / ds.n_rows
     cache = {}
 
@@ -283,8 +302,8 @@ def oracle_best_first_subset(ds, wrapped, folds, seed, stale_limit, min_improvem
                 cache[subset] = majority
             else:
                 view = select_columns(ds, [n for n in names if n in subset])
-                cache[subset] = cross_validate(view, wrapped, folds, seed, scaling=False,
-                                               folds=assignment).mean_accuracy
+                cache[subset] = cross_validate(view, wrapped, folds, seed,
+                                               scaling=False).mean_accuracy
         return cache[subset]
 
     start = frozenset()
