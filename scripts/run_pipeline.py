@@ -40,10 +40,10 @@ def main():
           f"{len(ds.schema)} features")
     payload = {"dataset": {"rows": ds.n_rows, "negative": neg, "positive": pos}}
 
-    payload["rankings"] = {e: show(f"feature ranking: {e}", cli.rank_report(ds, {}, e))
+    payload["rankings"] = {e: show(f"feature ranking: {e}", cli.rank(ds, {}, e))
                            for e in EVALUATORS}
     payload["subset"] = show("wrapper subset search (naive Bayes, best-first)",
-                             cli.subset_report(ds, {}, folds, args.subset_seed, stale_limit))
+                             cli.subset(args.data, False, folds, args.subset_seed, stale_limit))
     kept = set(payload["subset"]["selected"])
     print(f"overlap with the default 7-feature view: {len(kept & set(SELECTED_FEATURES))} kept / "
           f"{len(kept & set(REMOVED_FEATURES))} from the dropped group")
@@ -51,9 +51,9 @@ def main():
     view = select_columns(ds, SELECTED_FEATURES)
     payload["baseline"] = show(
         f"naive Bayes baseline on the 7-feature view ({folds}-fold, seed {args.seed})",
-        cli.cv_report(view, {}, "nb", folds, args.seed, scaling=False))
+        cli.cv(view, {}, folds, "nb", args.seed, no_scale=False))
     payload["comparison"] = show("model comparison (grid-tuned, identical folds)",
-                                 cli.compare_report(view, {}, folds, args.seed, scaling=True))
+                                 cli.compare(view, {}, folds, args.seed, no_scale=False))
     print(f"\ntotal time: {time.monotonic() - t0:.1f}s")
 
     if args.json_out:

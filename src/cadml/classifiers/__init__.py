@@ -178,5 +178,5 @@ def load_model(path) -> FittedModel:
             if _json_field(d["format_version"], int, "format_version") != 1:
                 raise ValueError(f"format_version {d['format_version']!r}, expected 1")
             return FittedModel.from_dict(d)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DataError(f"{path} is not a cadml model: {exc!r}") from None

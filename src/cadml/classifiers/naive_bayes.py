@@ -132,8 +132,7 @@ def score_from_log_joint(logs: np.ndarray) -> np.ndarray:
 
 
 class NBModel:
-    def __init__(self, schema, priors, feature_stats, params: NBParams):
-        self.schema = schema
+    def __init__(self, priors, feature_stats, params: NBParams):
         self.priors = priors  # shape (2,)
         self.feature_stats = feature_stats  # [class][feature] -> stat
         self.params = params
@@ -165,7 +164,7 @@ class NBModel:
         stats = [[_STATS[s["type"]].from_dict(s) for s in row] for row in d["feature_stats"]]
         if len(stats) != 2 or any(len(row) != len(schema) for row in stats):
             raise ValueError(f"feature_stats is not 2 x {len(schema)}")
-        return cls(schema=schema, priors=as_shaped(d["priors"], (2,), "priors", positive=True),
+        return cls(priors=as_shaped(d["priors"], (2,), "priors", positive=True),
                    feature_stats=stats, params=NBParams.from_dict(d["params"]))
 
 
@@ -197,4 +196,4 @@ def nb_fit(ds: Dataset, params: NBParams = NBParams()) -> NBModel:
                 probs = (counts + params.laplace) / (len(col) + params.laplace * len(values))
                 row.append(_FrequencyStat(values=tuple(values), probs=probs))
         feature_stats.append(row)
-    return NBModel(schema=ds.schema, priors=priors, feature_stats=feature_stats, params=params)
+    return NBModel(priors=priors, feature_stats=feature_stats, params=params)

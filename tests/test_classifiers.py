@@ -42,7 +42,8 @@ def test_nb_labels_follow_the_posterior_rule(cleveland7):
     tie = nb_fit(make_dataset([[-1.0], [1.0], [-1.0], [1.0]], [0, 1, 0, 1]))
     X = np.array([[0.0], [-0.5], [0.5], [1e-300], [-1e-300], [2.0]])
     assert tie.posterior_batch(X[:1])[0, 0] == tie.posterior_batch(X[:1])[0, 1]
-    assert np.array_equal(FittedModel(tie, tie.schema, None).predict_batch(X), nb_rule(tie, X))
+    assert np.array_equal(FittedModel(tie, continuous_schema(1), None).predict_batch(X),
+                          nb_rule(tie, X))
     # a value neither class saw leaves a row with all its log-joints -inf
     schema = (FeatureSchema("c", CATEGORICAL, (1.0, 2.0, 3.0)),
               FeatureSchema("x", CONTINUOUS))

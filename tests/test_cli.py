@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cadml.cli
 from cadml import __version__
 from cadml.classifiers import ALGORITHMS, NBParams, fit_model, save_model
-from cadml.cli import cli, main
+from cadml.cli import Report, cli, main
 from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
 from cadml.feature_selection import EVALUATORS
 from cadml.tuning import default_grids, default_scaling
@@ -210,6 +212,8 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", lambda text: text.replace('"format_version": 1', '"format_version": 2')),
     (GOOD_RECORD, "nb", lambda text: "[]"),
     (GOOD_RECORD, "nb", lambda text: text[:-10]),  # truncated JSON
+    # deeper than the json decoder's recursion limit
+    (GOOD_RECORD, "nb", lambda text: "[" * 3000 + "]" * 3000),
     (GOOD_RECORD, "nb", lambda text: text.replace('"algorithm": "nb"', '"algorithm": "forest"')),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["feature_stats"][1].pop())),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["priors"].pop())),
@@ -263,7 +267,7 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", set_first_allowed_values([])),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["schema"][1].update(allowed_values=[]))),
 ], ids=["non-numeric", "missing", "nan", "inf", "unseen-Cp", "no-schema", "format-2",
-        "not-a-dict", "truncated", "unknown-algorithm", "nb-feature-stats-cut",
+        "not-a-dict", "truncated", "nested-3000-deep", "unknown-algorithm", "nb-feature-stats-cut",
         "nb-one-prior", "nb-probs-cut", "nb-empty-table", "knn-scaling-cut", "knn-labels-cut",
         "knn-label-2", "knn-exemplars-narrow", "svm-dual-coef-cut", "nb-var-0",
         "nb-var-negative", "nb-mean-string", "nb-prior-0", "nb-prior-negative", "knn-std-0",
@@ -432,6 +436,13 @@ def test_exit_code_usage_error():
         assert run_cli(["tune", "--data", DATA_PATH, "--grid", grid]) == 1
 
 
+def test_grid_nested_too_deep_is_usage_error(capsys):
+    """A --grid value deeper than the json decoder's recursion limit."""
+    assert run_cli(["tune", "--data", DATA_PATH, "--grid", "[" * 5000 + "]" * 5000]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: Invalid value for --grid") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("record", [
     {"algorithm": "nb", "use_kernel_density": "false", "laplace": 0, "bandwidth_adjust": 1},
     {"algorithm": "knn", "k": 3.9},
@@ -589,3 +600,38 @@ def test_predict_loads_no_training_module(nb_model_path):
     assert not loaded & {"cadml.evaluation", "cadml.feature_selection", "cadml.tuning"}
     (evaluator,) = [p for p in cli.commands["rank"].params if p.name == "evaluator"]
     assert tuple(evaluator.type.choices) == EVALUATORS
+
+
+OPTIONS = {  # each command's parameters, in the order its --help lists them
+    "inspect": ["data_path", "header", "fmt", "out"],
+    "rank": ["data_path", "header", "keep", "evaluator", "fmt", "out"],
+    "subset": ["data_path", "header", "folds", "seed", "stale_limit", "min_improvement", "fmt",
+               "out"],
+    "cv": ["data_path", "header", "keep", "folds", "no_scale", "seed", "algorithm", "fmt", "out"],
+    "tune": ["data_path", "header", "keep", "folds", "no_scale", "seed", "algorithm", "grid_json",
+             "model_out", "fmt", "out"],
+    "compare": ["data_path", "header", "keep", "folds", "seed", "no_scale", "fmt", "out"],
+    "predict": ["model_path", "records", "data_path", "fmt", "out"],
+}
+
+
+def test_each_command_is_one_function_that_returns_its_report(nb_model_path):
+    """Every command is registered with its options in order, and its module
+    name is the plain function, which a script calls to get the Report."""
+    assert {name: [p.name for p in command.params]
+            for name, command in cli.commands.items()} == OPTIONS
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    calls = {
+        "inspect": (DATA_PATH, False),
+        "rank": (ds, {}, "info_gain"),
+        "subset": (DATA_PATH, False, 2, 1, 1),
+        "cv": (ds, {}, 2, "nb", 0, False),
+        "tune": (ds, {}, 2, "knn", 0, False, None, None),
+        "compare": (ds, {}, 2, 0, False),
+        "predict": (nb_model_path, (GOOD_RECORD,), None),
+    }
+    for name, args in calls.items():
+        command = getattr(cadml.cli, name)
+        assert isinstance(command, types.FunctionType)
+        report = command(*args)
+        assert isinstance(report, Report) and report.config["command"] == name

@@ -167,7 +167,7 @@ def oracle_log_joint(model, X) -> np.ndarray:
     for i, x in enumerate(X):
         out[i] = np.log(model.priors)
         for c in (0, 1):
-            for j in range(len(model.schema)):
+            for j in range(X.shape[1]):
                 out[i, c] += scalar_log_likelihood(model.feature_stats[c][j], float(x[j]))
     return out
 
