@@ -106,7 +106,7 @@ class Dataset:
         return tuple(f.name for f in self.schema)
 
     def class_counts(self) -> tuple[int, int]:
-        return int(np.sum(self.y == 0)), int(np.sum(self.y == 1))
+        return int(np.count_nonzero(self.y == 0)), int(np.count_nonzero(self.y == 1))
 
     def subset_rows(self, indices) -> "Dataset":
         idx = np.asarray(indices)

@@ -85,12 +85,11 @@ def confusion(predicted, actual) -> ConfusionMatrix:
     actual = np.asarray(actual)
     if predicted.shape != actual.shape:
         raise LengthMismatch(expected=actual.shape, got=predicted.shape)
-    return ConfusionMatrix(
-        tp=int(np.sum((predicted == 1) & (actual == 1))),
-        fp=int(np.sum((predicted == 1) & (actual == 0))),
-        tn=int(np.sum((predicted == 0) & (actual == 0))),
-        fn=int(np.sum((predicted == 0) & (actual == 1))),
-    )
+    # one count of 2 * actual + predicted: cells tn, fp, fn, tp; a pair with
+    # an entry outside {0, 1} counts in none
+    binary = ((predicted == 0) | (predicted == 1)) & ((actual == 0) | (actual == 1))
+    tn, fp, fn, tp = np.bincount((2 * actual + predicted)[binary].astype(np.intp), minlength=4)
+    return ConfusionMatrix(tp=int(tp), fp=int(fp), tn=int(tn), fn=int(fn))
 
 
 METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")

@@ -181,6 +181,11 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
     added in schema order: the same float operations in the same order as
     NBModel.log_joint on the subset's columns, so the objective equals
     cross_validate's mean_accuracy on select_columns(ds, subset) exactly.
+    The new subsets of an expansion are scored at once: their held-out
+    log-joints stack into one (subsets * n, 2) posterior, and one bincount
+    over (subset, fold) cells counts every subset's held-out hits. They are
+    then numbered and tested against the incumbent in schema order, as when
+    they were scored one at a time.
 
     A candidate only displaces the incumbent best subset when it beats it by
     more than min_improvement; gains below half a percentage point of CV
@@ -201,17 +206,21 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
         model = nb_fit(ds.subset_rows(assignment.train_indices(f)), wrapped)
         prior[test] = np.log(model.priors)
         for c in (0, 1):
-            for j, stat in enumerate(model.feature_stats[c]):
-                columns[j, test, c] = stat.log_likelihood(ds.X[test, j])
+            columns[:, test, c] = model.log_likelihoods(ds.X[test], c).T
     fold_sizes = np.bincount(assignment.fold_of_row)
 
-    def objective(subset: frozenset) -> float:
-        logs = prior.copy()
-        for j, name in enumerate(names):
-            if name in subset:
-                logs += columns[j]
-        correct = (score_from_log_joint(logs) > 0) == ds.y
-        return float(np.mean(np.bincount(assignment.fold_of_row, weights=correct) / fold_sizes))
+    def objectives(subsets) -> list:
+        if not subsets:
+            return []
+        member = np.array([[name in s for name in names] for s in subsets])
+        logs = np.tile(prior, (len(subsets), 1, 1))
+        for j in range(len(names)):
+            np.add(logs, columns[j], out=logs, where=member[:, j, None, None])
+        correct = (score_from_log_joint(logs.reshape(-1, 2)) > 0) == np.tile(ds.y, len(subsets))
+        # held-out hits per (subset, fold) cell
+        cells = (np.arange(len(subsets))[:, None] * assignment.k + assignment.fold_of_row).ravel()
+        hits = np.bincount(cells, weights=correct, minlength=len(subsets) * assignment.k)
+        return np.mean(hits.reshape(len(subsets), -1) / fold_sizes, axis=1).tolist()
 
     start = frozenset()
     # the prior-only classifier predicts the majority class
@@ -223,13 +232,12 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
         _, _, node = heapq.heappop(open_heap)
         expansions += 1
         improved = False
-        for name in names:
-            child = node ^ {name}
-            if child in discovered:
-                continue
-            discovered.add(child)
-            score = objective(child)
-            heapq.heappush(open_heap, (-score, len(discovered), child))
+        children = [child for child in (node ^ {name} for name in names)
+                    if child not in discovered]
+        first = len(discovered) + 1  # the discovery number of the first child
+        discovered.update(children)
+        for order, (child, score) in enumerate(zip(children, objectives(children)), first):
+            heapq.heappush(open_heap, (-score, order, child))
             if score > best_score + min_improvement:
                 best_subset, best_score = child, score
                 improved = True

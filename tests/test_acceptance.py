@@ -279,6 +279,34 @@ def test_svm_outputs_pinned(tmp_path):
             for name, p in paths.items()} == PINNED_SHA256
 
 
+# sha256 of `tune --algorithm nb` JSON, of the model file its --save-model
+# writes, of `tune --algorithm nb --keep all` and `cv --algorithm nb` JSON,
+# and of `subset` JSON, at the defaults (seed 2018, the 7-feature view for
+# tune and cv, subset seed 1 on all 13 features), recorded before naive Bayes
+# was fit and scored in whole-array passes per class.
+NB_PINNED_SHA256 = {
+    "tune": "9e5bd2a134a627605a0d061c50d58ffe7ffa7259dac966e5921a5194fdc8c13e",
+    "model": "fd2d3ad5171c92050f1747d42de853e8c3b031582f594d08d69ef297254be05b",
+    "tune-all": "b72c37a386483566179ee6bb772545aed823e72a67fb7bbb713b66a1dc14b674",
+    "cv": "cda37a6aab9dc4a4a34bf8bd082e57dbde061784ac45393f17d09b4098ae752f",
+    "subset": "d12f2af83ff5ef1c9189cae502e6fb31c2882a622983769112a5bf8917c84841",
+}
+
+
+def test_nb_outputs_pinned(tmp_path):
+    """Naive Bayes and its wrapper may get faster, but these bytes may not change."""
+    paths = {name: tmp_path / f"{name}.json" for name in NB_PINNED_SHA256}
+    _run_cli(["tune", "--data", DATA_PATH, "--algorithm", "nb", "--format", "json",
+              "--out", str(paths["tune"]), "--save-model", str(paths["model"])])
+    _run_cli(["tune", "--data", DATA_PATH, "--algorithm", "nb", "--keep", "all",
+              "--format", "json", "--out", str(paths["tune-all"])])
+    _run_cli(["cv", "--data", DATA_PATH, "--algorithm", "nb", "--format", "json",
+              "--out", str(paths["cv"])])
+    _run_cli(["subset", "--data", DATA_PATH, "--format", "json", "--out", str(paths["subset"])])
+    assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in paths.items()} == NB_PINNED_SHA256
+
+
 def test_data_pipeline_accounting(cleveland):
     """303 parsed, 6 dropped, 297 kept, 160/137 class balance — verified
     against a direct count over the raw file."""

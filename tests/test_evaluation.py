@@ -74,6 +74,13 @@ def test_confusion_hand_count():
     assert rep.precision == 3 / 4
 
 
+def test_confusion_counts_no_pair_outside_0_1():
+    # a 2 in either input counts in no cell, though 2 * actual + predicted of
+    # (predicted 2, actual 0) and (predicted 0, actual 1) are both 2
+    cm = confusion([0, 1, 2, 1, 0], [0, 2, 0, 1, 1])
+    assert (cm.tp, cm.fp, cm.tn, cm.fn) == (1, 0, 1, 1)
+
+
 def test_confusion_shape_mismatch():
     with pytest.raises(LengthMismatch):
         confusion([0, 1], [0, 1, 1])

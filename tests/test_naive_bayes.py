@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import NBParams, nb_fit
-from cadml.classifiers.naive_bayes import NBModel, _GaussianStat, _KDEStat
+from cadml.classifiers.naive_bayes import NBModel, _FrequencyStat, _GaussianStat, _KDEStat
 from cadml.dataset import (
-    BINARY, CATEGORICAL, CONTINUOUS, SELECTED_FEATURES, FeatureSchema, select_columns,
+    BINARY, CATEGORICAL, CONTINUOUS, SELECTED_FEATURES, Dataset, FeatureSchema, select_columns,
 )
 from cadml.errors import SingleClassData, TooFewRows
 
@@ -192,3 +192,78 @@ def test_log_joint_matches_scalar_oracle(cleveland, params, width):
     oracle = oracle_log_joint(model, X)
     assert np.array_equal(model.log_joint(X), oracle)
     assert np.isneginf(oracle).any() == (params.laplace == 0.0)
+
+
+def oracle_fit(ds, params: NBParams) -> NBModel:
+    """nb_fit as it was before it took whole-array passes: one numpy call per
+    column statistic and one per frequency-table value, the variance floor
+    recomputed per class, and the bandwidth stored as a Python float."""
+    neg, pos = ds.class_counts()
+    feature_stats = []
+    for c in (0, 1):
+        Xc = ds.X[ds.y == c]
+        row = []
+        for j, feat in enumerate(ds.schema):
+            col = Xc[:, j]
+            if feat.kind == CONTINUOUS and params.use_kernel_density:
+                n = len(col)
+                s = np.std(col, ddof=1)
+                iqr = float(np.subtract(*np.percentile(col, [75, 25])))
+                spread = min(s, iqr / 1.34) if iqr > 0 else s
+                if spread <= 0:
+                    spread = max(abs(float(np.mean(col))), 1.0) * 1e-3
+                h = 0.9 * spread * n ** (-0.2) * params.bandwidth_adjust
+                row.append(_KDEStat(samples=col.copy(), bandwidth=float(h)))
+            elif feat.kind == CONTINUOUS:
+                floor = 1e-9 * (float(np.var(ds.X[:, j], ddof=1)) + 1e-12)
+                var = max(float(np.var(col, ddof=1)), floor)
+                row.append(_GaussianStat(mean=float(np.mean(col)), var=var))
+            else:
+                values = feat.allowed_values
+                counts = np.array([float(np.sum(col == v)) for v in values])
+                probs = (counts + params.laplace) / (len(col) + params.laplace * len(values))
+                row.append(_FrequencyStat(values=tuple(values), probs=probs))
+        feature_stats.append(row)
+    return NBModel(priors=np.array([neg / ds.n_rows, pos / ds.n_rows]),
+                   feature_stats=feature_stats, params=params)
+
+
+@pytest.mark.parametrize("kde", [False, True], ids=["gaussian", "kde"])
+def test_fit_matches_per_column_oracle(cleveland, kde):
+    rng = np.random.default_rng(19)
+    for trial in range(60):
+        ds = cleveland if trial % 2 else select_columns(cleveland, SELECTED_FEATURES)
+        ds = ds.subset_rows(rng.permutation(ds.n_rows)[:int(rng.integers(8, ds.n_rows + 1))])
+        X = ds.X * np.where([f.kind == CONTINUOUS for f in ds.schema],
+                            10.0 ** rng.integers(-6, 7, ds.X.shape[1]), 1.0)
+        j = rng.choice([k for k, f in enumerate(ds.schema) if f.kind == CONTINUOUS])
+        # every third subset gives one continuous column one value (zero
+        # variance, and the mean-based kernel spread), a zero IQR in most
+        # rows (the standard-deviation spread), or one value in one class
+        if trial % 3 == 0:
+            X[:, j] = 3.5
+        elif trial % 3 == 1:
+            X[:, j] = np.where(rng.random(ds.n_rows) < 0.8, 2.0, X[:, j])
+        else:
+            X[ds.y == 1, j] = -7.25
+        ds = Dataset(schema=ds.schema, X=X, y=ds.y)
+        for laplace in (0.0, 0.5, 1.0):
+            for adjust in ((0.4, 2.5) if kde else (1.0,)):
+                params = NBParams(use_kernel_density=kde, laplace=laplace, bandwidth_adjust=adjust)
+                assert repr(nb_fit(ds, params).to_dict()) == repr(oracle_fit(ds, params).to_dict())
+
+
+def test_ragged_kde_model_scores_as_scalar_oracle(cleveland):
+    """A hand-edited model file may give one class's kernel densities
+    different sample counts; each still scores as the scalar oracle says."""
+    model = nb_fit(cleveland.subset_rows(np.arange(0, 297, 3)), NBParams(use_kernel_density=True))
+    d = model.to_dict()
+    kde = [j for j, stat in enumerate(d["feature_stats"][0]) if stat["type"] == "kde"]
+    for cut, j in zip((7, 7, 19, None), kde):  # two share a count, one differs, one is whole
+        d["feature_stats"][0][j]["samples"] = d["feature_stats"][0][j]["samples"][:cut]
+    ragged = NBModel.from_dict(d, cleveland.schema)
+    assert len({len(ragged.feature_stats[0][j].samples) for j in kde}) == 3
+    rng = np.random.default_rng(3)
+    continuous = [f.kind == CONTINUOUS for f in cleveland.schema]
+    X = np.vstack([cleveland.X, cleveland.X + rng.normal(size=cleveland.X.shape) * continuous])
+    assert np.array_equal(ragged.log_joint(X), oracle_log_joint(ragged, X))
