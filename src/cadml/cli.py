@@ -13,6 +13,13 @@ the commands that call them, so that predict loads none of them.
 """
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # a one-shot process: no collection walks the heap its imports build;
+    # run() turns collection back on once that heap is frozen
+    gc.disable()
+
 import csv
 import functools
 import io
@@ -363,5 +370,19 @@ def main(argv=None):
         sys.exit(3)
 
 
-if __name__ == "__main__":
+def run():
+    """Program entry of the `cadml` console script and of `python -m cadml.cli`.
+
+    Freezes the heap the imports built, so that no later collection walks it,
+    those at interpreter exit included; what the command creates is collected
+    as before. Under `-m` no collection runs during the imports either. The
+    console script imports this module before it can call run(), so it gets
+    only the frozen heap. main(argv) leaves the caller's collector as it was.
+    """
+    gc.freeze()
+    gc.enable()
     main()
+
+
+if __name__ == "__main__":
+    run()

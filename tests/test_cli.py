@@ -19,6 +19,8 @@ from cadml.tuning import default_grids, default_scaling
 
 from conftest import DATA_PATH
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def run_cli(args):
     try:
@@ -26,6 +28,12 @@ def run_cli(args):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     return 0
+
+
+def run_python(*args, text=True):
+    """Run the interpreter on args in a fresh process that imports cadml from src."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 def read_json(path):
@@ -361,11 +369,8 @@ def test_svm_that_does_not_converge_is_training_error():
     sigma and the step count, not a traceback. This takes about 3 s on a
     2-core host, against a 60 s limit (without the cap it ran past 5 minutes)."""
     grid = '[{"algorithm":"svm","C":1e300,"sigma":1e-300}]'
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-m", "cadml.cli", "tune", "--data", DATA_PATH,
-                           "--algorithm", "svm", "--grid", grid],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
+    proc = run_python("-m", "cadml.cli", "tune", "--data", DATA_PATH, "--algorithm", "svm",
+                      "--grid", grid)
     assert proc.returncode == 3 and "Traceback" not in proc.stderr
     assert ("the SVM with C=1e+300, sigma=1e-300 did not converge in 133500 SMO steps"
             in proc.stderr)
@@ -583,23 +588,80 @@ def test_missing_or_unknown_command_is_one_line_usage_error(capsys, args, messag
 
 
 def test_predict_loads_no_training_module(nb_model_path):
-    """A fresh process that imports the CLI and runs predict never loads the
-    training modules, so the rank command spells out their evaluators."""
-    code = ("import sys\n"
-            "from cadml.cli import main\n"
-            "try:\n"
-            f"    main(['predict', '--model', {nb_model_path!r}, '--record', {GOOD_RECORD!r}])\n"
-            "except SystemExit as exc:\n"
-            "    assert not exc.code, exc.code\n"
-            "print(*(m for m in sys.modules if m.startswith('cadml')), file=sys.stderr)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    loaded = set(proc.stderr.split())
-    assert proc.stdout.startswith("label=") and "cadml.classifiers" in loaded
-    assert not loaded & {"cadml.evaluation", "cadml.feature_selection", "cadml.tuning"}
+    """A fresh process that runs predict, through cadml.cli.main or as
+    `python -m cadml.cli`, never loads the training modules, so the rank
+    command spells out their evaluators."""
+    args = ["predict", "--model", nb_model_path, "--record", GOOD_RECORD]
+    through_main = run_python("-c", "import sys\nfrom cadml.cli import main\nmain(sys.argv[1:])\n"
+                              "print(*sys.modules, file=sys.stderr)\n", *args)
+    # -X importtime names each module the process imports, one a line
+    through_m = run_python("-X", "importtime", "-m", "cadml.cli", *args)
+    for proc, loaded in [
+            (through_main, set(through_main.stderr.split())),
+            (through_m, {line.rsplit("|", 1)[-1].strip() for line in through_m.stderr.splitlines()})]:
+        assert proc.returncode == 0 and proc.stdout.startswith("label=")
+        assert "cadml.classifiers" in loaded
+        assert not loaded & {"cadml.evaluation", "cadml.feature_selection", "cadml.tuning"}
     (evaluator,) = [p for p in cli.commands["rank"].params if p.name == "evaluator"]
     assert tuple(evaluator.type.choices) == EVALUATORS
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_use_leaves_the_collector_alone(nb_model_path, enabled):
+    """Importing cadml.cli and calling main in-process leave the caller's
+    collector as it was: on or off, and with nothing frozen."""
+    unchanged = f"assert gc.isenabled() is {enabled} and gc.get_freeze_count() == 0\n"
+    code = ("import gc\n"
+            f"gc.{'enable' if enabled else 'disable'}()\n"
+            "from cadml import cli\n"
+            + unchanged +
+            f"cli.main(['predict', '--model', {nb_model_path!r}, '--record', {GOOD_RECORD!r}])\n"
+            + unchanged)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("label=")
+
+
+@pytest.mark.parametrize("entry", ["from cadml import cli; cli.run()",
+                                   "runpy.run_module('cadml.cli', run_name='__main__')"],
+                         ids=["console-script", "-m"])
+def test_program_entry_runs_with_collection_on(nb_model_path, entry):
+    """The program entry freezes the imported heap and runs the command with
+    collection on, under `-m` too, where the imports ran with it off."""
+    assert 'cadml = "cadml.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    code = ("import gc, runpy, sys\n"
+            f"sys.argv = ['cadml', 'predict', '--model', {nb_model_path!r}, '--record', {GOOD_RECORD!r}]\n"
+            f"{entry}\n"
+            "assert gc.isenabled() and gc.get_freeze_count() > 0\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("label=")
+
+
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_program_entry_writes_what_main_writes(tmp_path, capsys, algorithm):
+    """`python -m cadml.cli predict` writes the bytes that main writes in-process."""
+    ds = select_columns(load_dataset(DATA_PATH), SELECTED_FEATURES)
+    model_path = str(tmp_path / "model.json")
+    save_model(fit_model(ds, ALGORITHMS[algorithm].params(), scaling=default_scaling(algorithm)),
+               model_path)
+    args = ["predict", "--model", model_path, "--record", GOOD_RECORD,
+            "--record", "4,109,1,2.4,2,1,3", "--format", "json"]
+    assert run_cli(args) == 0
+    proc = run_python("-m", "cadml.cli", *args, text=False)
+    assert proc.returncode == 0 and proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+def test_program_entry_exit_codes(nb_model_path):
+    """Through `python -m cadml.cli`, a wrong-width record is a one-line data
+    error and predict without records a usage error, neither a traceback."""
+    wrong_width = run_python("-m", "cadml.cli", "predict", "--model", nb_model_path,
+                             "--record", "1,2,3")
+    assert wrong_width.returncode == 2 and "Traceback" not in wrong_width.stderr
+    assert wrong_width.stderr.startswith("data error:")
+    assert len(wrong_width.stderr.splitlines()) == 1
+    no_records = run_python("-m", "cadml.cli", "predict", "--model", nb_model_path)
+    assert no_records.returncode == 1 and "Traceback" not in no_records.stderr
 
 
 OPTIONS = {  # each command's parameters, in the order its --help lists them
