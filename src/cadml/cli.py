@@ -1,10 +1,10 @@
 """Command-line front end for the pipeline.
 
-Subcommands: inspect, rank, subset, cv, tune, compare, predict. Each is one
-function that returns its Report, and _command registers it as a click command
-that renders the report; the function stays callable, so a script runs the
-same commands as the CLI. Every report embeds the resolved run configuration
-and tool version, and all output is deterministic for a fixed configuration.
+Subcommands: inspect, rank, subset, cv, tune, compare, predict, pipeline. Each
+is one function that returns its Report; _command registers it as a click
+command that renders the report, and the function stays callable for scripts.
+Every report embeds the resolved run configuration and tool version, and all
+output is deterministic for a fixed configuration.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 training error.
 
@@ -51,6 +51,7 @@ if TYPE_CHECKING:
 DEFAULT_SEED = 2018
 SUBSET_SEED = 1  # the wrapper-selection step uses its own seed
 DEFAULT_FOLDS = 10
+_EVALUATORS = ("info_gain", "correlation")  # feature_selection.EVALUATORS, not imported here
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,10 @@ _SEED = click.IntRange(min=0)  # the fold shuffle's Philox generator takes no ne
 algorithm_option = click.option("--algorithm", default="nb", show_default=True,
                                 type=click.Choice(list(ALGORITHMS)))
 seed_option = click.option("--seed", default=DEFAULT_SEED, show_default=True, type=_SEED)
+subset_seed_option = click.option("--subset-seed", default=SUBSET_SEED, show_default=True,
+                                  type=_SEED)
+stale_limit_option = click.option("--stale-limit", default=5, show_default=True,
+                                  type=click.IntRange(min=1))
 no_scale_option = click.option("--no-scale", is_flag=True, default=False,
                                help="Disable z-scoring of continuous features.")
 
@@ -155,14 +160,13 @@ def _command(*decorators):
         @click.option("--out", default=None, type=click.Path(dir_okay=False),
                       help="Write the report to a file instead of stdout.")
         @functools.wraps(fn)
-        def emit(*args, fmt, out, **options):
+        def command(*args, fmt, out, **options):
             rendered = fn(*args, **options).render(fmt)
             if out:
                 with open(out, "w", encoding="utf-8") as fh:
                     fh.write(rendered)
             else:
                 click.echo(rendered, nl=False)
-        command = emit
         for decorate in reversed(decorators):
             command = decorate(command)
         cli.command()(command)
@@ -194,9 +198,7 @@ def inspect(data_path, header) -> Report:
 
 
 @_command(_loads_table(),
-          # feature_selection.EVALUATORS, spelled out so that this module does not import it
-          click.option("--evaluator", required=True,
-                       type=click.Choice(["info_gain", "correlation"])))
+          click.option("--evaluator", required=True, type=click.Choice(_EVALUATORS)))
 def rank(ds, config, evaluator) -> Report:
     """Rank features by information gain or absolute correlation."""
     from .feature_selection import rank_features
@@ -211,7 +213,7 @@ def rank(ds, config, evaluator) -> Report:
 
 @_command(data_option, header_option, folds_option,
           click.option("--seed", default=SUBSET_SEED, show_default=True, type=_SEED),
-          click.option("--stale-limit", default=5, show_default=True, type=click.IntRange(min=1)),
+          stale_limit_option,
           click.option("--min-improvement", default=0.005, show_default=True,
                        type=click.FloatRange(min=0), callback=_finite,
                        help="Smallest CV-accuracy gain that counts as progress."))
@@ -351,9 +353,51 @@ def predict(model_path, records, data_path) -> Report:
                   lines=lines)
 
 
-def main(argv=None):
+@_command(data_option, folds_option, seed_option, subset_seed_option, stale_limit_option)
+def pipeline(data_path, folds, seed, subset_seed, stale_limit) -> Report:
+    """The paper's experiment: the reports of rank, subset, cv and compare in turn."""
+    ds = load_dataset(data_path)
+    view = select_columns(ds, SELECTED_FEATURES)
+    neg, pos = ds.class_counts()
+    counts = {"rows": ds.n_rows, "negative": neg, "positive": pos}
+    stages = {  # JSON key: (heading, report), in the order the text shows them
+        **{f"rankings.{e}": (f"feature ranking: {e}", rank(ds, {}, e)) for e in _EVALUATORS},
+        "subset": ("wrapper subset search (naive Bayes, best-first)",
+                   subset(data_path, False, folds, subset_seed, stale_limit)),
+        "baseline": (f"naive Bayes baseline on the 7-feature view ({folds}-fold, seed {seed})",
+                     cv(view, {}, folds, "nb", seed, False)),
+        "comparison": ("model comparison (grid-tuned, identical folds)",
+                       compare(view, {}, folds, seed, False))}
+    kept, chosen = set(stages["subset"][1].body()["selected"]), set(SELECTED_FEATURES)
+    notes = {"subset": [f"overlap with the default 7-feature view: {len(kept & chosen)} kept / "
+                        f"{len(kept - chosen)} from the dropped group"]}
+
+    def body():
+        bodies = {key: report.body() for key, (_, report) in stages.items()}
+        return {"dataset": counts,  # the rankings are popped before **bodies unpacks
+                "rankings": {e: bodies.pop(f"rankings.{e}") for e in _EVALUATORS}, **bodies}
+
+    def rows():
+        rows = [["dataset", *counts], ["dataset", *counts.values()],
+                *([key, *row] for key, (_, report) in stages.items() for row in report.rows())]
+        width = max(map(len, rows))  # padded to one rectangle
+        return [row + [""] * (width - len(row)) for row in rows]
+
+    def lines():
+        out = [f"dataset: {ds.n_rows} rows ({neg} negative / {pos} positive), "
+               f"{len(ds.schema)} features"]
+        for key, (heading, report) in stages.items():
+            out += ["", f"== {heading} ==", *report.lines(), *notes.get(key, [])]
+        return out
+
+    return Report(config={"command": "pipeline", "data": str(data_path), "folds": folds,
+                          "seed": seed, "subset_seed": subset_seed, "stale_limit": stale_limit},
+                  body=body, rows=rows, lines=lines)
+
+
+def main(argv=None, command=cli):  # any click command, with errors mapped to exit codes
     try:
-        cli.main(args=argv, standalone_mode=False)
+        command.main(args=argv, standalone_mode=False)
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         sys.exit(1)

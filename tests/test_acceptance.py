@@ -241,6 +241,7 @@ def test_cli_determinism(tmp_path):
         "tune": ["tune", "--data", DATA_PATH, "--algorithm", "knn"],
         "compare": ["compare", "--data", DATA_PATH, "--folds", "5"],
         "predict": ["predict", "--model", str(model_path), "--record", record],
+        "pipeline": ["pipeline", "--data", DATA_PATH, "--folds", "5", "--stale-limit", "2"],
     }
     for name, args in commands.items():
         outputs = []

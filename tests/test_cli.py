@@ -402,6 +402,7 @@ COMMANDS = {
     "tune": ["tune", "--data", DATA_PATH, "--algorithm", "knn"],
     "compare": ["compare", "--data", DATA_PATH, "--folds", "5"],
     "predict": ["predict", "--record", GOOD_RECORD, "--record", "4,109,1,2.4,2,1,3"],
+    "pipeline": ["pipeline", "--data", DATA_PATH, "--folds", "2", "--stale-limit", "1"],
 }
 
 
@@ -674,6 +675,7 @@ OPTIONS = {  # each command's parameters, in the order its --help lists them
              "model_out", "fmt", "out"],
     "compare": ["data_path", "header", "keep", "folds", "seed", "no_scale", "fmt", "out"],
     "predict": ["model_path", "records", "data_path", "fmt", "out"],
+    "pipeline": ["data_path", "folds", "seed", "subset_seed", "stale_limit", "fmt", "out"],
 }
 
 
@@ -691,6 +693,7 @@ def test_each_command_is_one_function_that_returns_its_report(nb_model_path):
         "tune": (ds, {}, 2, "knn", 0, False, None, None),
         "compare": (ds, {}, 2, 0, False),
         "predict": (nb_model_path, (GOOD_RECORD,), None),
+        "pipeline": (DATA_PATH, 2, 0, 1, 1),
     }
     for name, args in calls.items():
         command = getattr(cadml.cli, name)

@@ -91,6 +91,7 @@ OPTIONS = {  # the numeric options each training command takes
     "cv": ("--seed", "--folds"),
     "tune": ("--seed", "--folds"),
     "compare": ("--seed", "--folds"),
+    "pipeline": ("--seed", "--folds", "--subset-seed", "--stale-limit"),
 }
 
 
@@ -134,7 +135,7 @@ def run_cli(args):
 
 
 @given(command=st.sampled_from(["inspect", "rank", "subset", "cv", "tune", "compare",
-                                "predict"]),
+                                "predict", "pipeline"]),
        data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_any_input_gives_a_documented_exit_code(workdir, command, data):
@@ -155,7 +156,7 @@ def test_any_input_gives_a_documented_exit_code(workdir, command, data):
         if data.draw(st.booleans()):
             args += ["--data", write("rows.csv", data.draw(feature_files))]
     else:
-        header = data.draw(st.booleans())
+        header = command != "pipeline" and data.draw(st.booleans())
         table = data.draw(tables(header)) if valid else data.draw(anything)
         args += ["--data", write("table.data", table)]
         if header:
