@@ -4,6 +4,7 @@ import json
 import time
 
 import click
+from click.core import ParameterSource
 
 from cadml import cli
 
@@ -14,10 +15,12 @@ from cadml import cli
 @cli.folds_option
 @cli.seed_option
 @cli.subset_seed_option
-@click.option("--fast", is_flag=True, help="5 folds and an abbreviated wrapper search")
+@click.option("--fast", is_flag=True,
+              help="an abbreviated wrapper search, and 5 folds unless --folds is given")
 @click.option("--json-out", default=None, help="also dump the full report as JSON")
-def run_pipeline(data_path, folds, seed, subset_seed, fast, json_out):
-    if fast:
+@click.pass_context
+def run_pipeline(ctx, data_path, folds, seed, subset_seed, fast, json_out):
+    if fast and ctx.get_parameter_source("folds") is ParameterSource.DEFAULT:
         folds = 5
     t0 = time.monotonic()
     report = cli.pipeline(data_path, folds, seed, subset_seed, 2 if fast else 5)

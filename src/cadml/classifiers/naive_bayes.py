@@ -1,21 +1,16 @@
 """Naive Bayes with Gaussian or kernel-density likelihoods for continuous
 features and (Laplace-smoothed) frequency tables for the discrete kinds.
 
-Fitting and scoring take whole-array passes per class. nb_fit reduces the
-rows of one C-contiguous (features x rows) block of a class's continuous
-columns, the pairwise sums np.mean, np.var and np.percentile take of one
-column, and counts each frequency table with one comparison. An NBModel
-stacks each class's parameters by likelihood kind, and log_likelihoods
-scores a class in one pass per kind, each column bit for bit the
-per-feature likelihood.
-
-Posteriors are computed in log space and renormalized; a row's score is
-P(1|x) - P(0|x), so equal posteriors score 0, which labels class 0.
+nb_fit takes whole-array passes per class, and an NBModel holds one set of
+parameter arrays per class and likelihood kind, which scores its features'
+columns in one pass, bit for bit per feature; per-feature records exist only
+in the model file. Posteriors are computed in log space and renormalized; a
+row's score is P(1|x) - P(0|x), so equal posteriors score 0, which labels
+class 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,109 +24,94 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _KDE_BLOCK = 1 << 16
 
 
-# Each kind's scorer(stats) stacks the parameters of k features of one class
-# and returns the function from their (k, n) columns to their log-likelihoods.
-@dataclass(frozen=True)
-class _GaussianStat:
-    mean: float
-    var: float
+# Each kind holds the parameters of k features (schema indices `features`) of one class, maps
+# their (k, n) columns to log-likelihoods, and reads and writes their model-file records.
+class _Gaussian:
+    def __init__(self, features, mean, var):  # mean, var: (k, 1)
+        self.features, self.mean, self.var = features, mean, var
+        self.const = np.array([[-_LOG_SQRT_2PI - 0.5 * math.log(v)] for v in var.ravel().tolist()])
 
-    @staticmethod
-    def scorer(stats):
-        mean, var = np.array([[s.mean, s.var] for s in stats]).T[:, :, None]
-        const = np.array([[-_LOG_SQRT_2PI - 0.5 * math.log(s.var)] for s in stats])
-        # libm pow, like ** on a Python float: x * x differs in the last bit
-        # on about 1 input in 1200, and the tests pin these scores bit for bit
-        return lambda X: const - 0.5 * np.float_power(X - mean, 2.0) / var
+    def __call__(self, X):
+        # libm pow, as ** on a float: x * x differs in the last bit on about 1 input in 1200
+        return self.const - 0.5 * np.float_power(X - self.mean, 2.0) / self.var
 
-    def to_dict(self):
-        return {"type": "gaussian", "mean": self.mean, "var": self.var}
+    def records(self):
+        return [{"type": "gaussian", "mean": m, "var": v}
+                for m, v in zip(self.mean.ravel().tolist(), self.var.ravel().tolist())]
 
     @classmethod
-    def from_dict(cls, s):
-        return cls(mean=float(as_shaped(s["mean"], (), "mean")),
-                   var=float(as_shaped(s["var"], (), "var", positive=True)))
+    def read(cls, s):
+        return (cls, 0), ([float(as_shaped(s["mean"], (), "mean"))],
+                          [float(as_shaped(s["var"], (), "var", positive=True))])
 
 
-@dataclass(frozen=True)
-class _KDEStat:
-    samples: np.ndarray
-    bandwidth: float
+class _Kernel:
+    def __init__(self, features, samples, bandwidth):  # (k, m) samples, (k, 1) bandwidths
+        self.features, self.samples, self.h = features, samples[:, None], bandwidth[:, :, None]
+        self.const = -_LOG_SQRT_2PI - np.array([[[math.log(h)]] for h in bandwidth.flat])
 
-    @staticmethod
-    def scorer(stats):  # of features with one sample count
-        samples = np.array([s.samples for s in stats])[:, None, :]
-        h, const = np.array([[s.bandwidth, -_LOG_SQRT_2PI - math.log(s.bandwidth)]
-                             for s in stats]).T[:, :, None, None]
-        log_count, step = math.log(samples.shape[2]), max(1, _KDE_BLOCK // samples.size)
+    def __call__(self, X):
+        step, log_count = max(1, _KDE_BLOCK // self.samples.size), math.log(self.samples.shape[2])
+        out = np.empty(X.shape)
+        for i in range(0, X.shape[1], step):
+            z = X[:, i:i + step, None] - self.samples
+            z /= self.h
+            logs = np.subtract(self.const, np.multiply(0.5 * z, z, out=z), out=z)  # in place
+            m = np.max(logs, axis=2)
+            sums = np.sum(np.exp(np.subtract(logs, m[:, :, None], out=logs), out=logs), axis=2)
+            # math.log: np.log differs in the last bit on about 1 input in 6400
+            out[:, i:i + step] = m + np.reshape(
+                list(map(math.log, sums.ravel().tolist())), sums.shape) - log_count
+        return out
 
-        def score(X):
-            out = np.empty(X.shape)
-            for i in range(0, X.shape[1], step):
-                z = (X[:, i:i + step, None] - samples) / h
-                logs = const - 0.5 * z * z
-                m = np.max(logs, axis=2)
-                sums = np.sum(np.exp(logs - m[:, :, None]), axis=2)
-                # math.log, not np.log, which differs in the last bit on
-                # about 1 input in 6400 (see the Gaussian square above)
-                out[:, i:i + step] = m + np.reshape(
-                    list(map(math.log, sums.ravel().tolist())), sums.shape) - log_count
-            return out
-        return score
-
-    def to_dict(self):
-        return {"type": "kde", "samples": [float(v) for v in self.samples],
-                "bandwidth": self.bandwidth}
+    def records(self):
+        return [{"type": "kde", "samples": s, "bandwidth": h}
+                for s, h in zip(self.samples[:, 0].tolist(), self.h.ravel().tolist())]
 
     @classmethod
-    def from_dict(cls, s):
+    def read(cls, s):
         samples = as_shaped(s["samples"], (len(s["samples"]),), "samples")
         if len(samples) == 0:
             raise ValueError("kde without samples")
-        return cls(samples=samples,
-                   bandwidth=float(as_shaped(s["bandwidth"], (), "bandwidth", positive=True)))
+        bandwidth = float(as_shaped(s["bandwidth"], (), "bandwidth", positive=True))
+        return (cls, len(samples)), (samples, [bandwidth])
 
 
-def _padded(rows, width: int, fill: float) -> np.ndarray:
-    return np.array([[*row, *[fill] * (width - len(row))] for row in rows])
+class _Table:
+    def __init__(self, features, values, probs):  # (k, w), both NaN past a table's end
+        self.features, self.values, self.probs = features, values, probs
+        # log P of each cell, then -inf for a value the table lacks, as for P = 0 or a padded cell
+        self.logp = np.array([[math.log(p) if p > 0 else -math.inf for p in row] + [-math.inf]
+                              for row in probs.tolist()])
 
+    def __call__(self, X):
+        k, w = self.values.shape
+        hit = np.ones((k, w + 1, X.shape[1]), dtype=bool)  # a value hits row w if no other
+        np.equal(X[:, None, :], self.values[:, :, None], out=hit[:, :w])  # NaN equals none
+        return self.logp[np.arange(k)[:, None], hit.argmax(axis=1)]
 
-@dataclass(frozen=True)
-class _FrequencyStat:
-    values: tuple[float, ...]
-    probs: np.ndarray  # aligned with values
-
-    @staticmethod
-    def scorer(stats):
-        # padded with NaN, which equals no value, and -inf: logp[:, width]
-        # scores a value a table lacks, as 0 probability (unsmoothed) does
-        width = max(len(s.values) for s in stats)
-        values = _padded([s.values for s in stats], width, math.nan)[:, :, None]
-        logp = _padded([[math.log(p) if p > 0 else -math.inf for p in s.probs.tolist()]
-                        for s in stats], width + 1, -math.inf)
-        tables = np.arange(len(stats))[:, None]
-
-        def score(X):
-            hit = X[:, None, :] == values
-            return logp[tables, np.where(hit.any(axis=1), hit.argmax(axis=1), width)]
-        return score
-
-    def to_dict(self):
-        return {"type": "frequency", "values": list(self.values),
-                "probs": [float(p) for p in self.probs]}
+    def records(self):
+        return [{"type": "frequency", "values": v[~np.isnan(v)].tolist(),
+                 "probs": p[~np.isnan(v)].tolist()} for v, p in zip(self.values, self.probs)]
 
     @classmethod
-    def from_dict(cls, s):
+    def read(cls, s):
         values = as_shaped(s["values"], (len(s["values"]),), "values")
         if len(values) == 0:
             raise ValueError("frequency table without values")
         probs = as_shaped(s["probs"], (len(values),), "probs")
         if (probs > 1).any() or (probs < 0).any():
             raise ValueError("probs outside [0, 1]")
-        return cls(values=tuple(values.tolist()), probs=probs)
+        return (cls, 0), (values, probs)
 
 
-_STATS = {"gaussian": _GaussianStat, "kde": _KDEStat, "frequency": _FrequencyStat}
+_KINDS = {"gaussian": _Gaussian, "kde": _Kernel, "frequency": _Table}
+
+
+def _padded(rows) -> np.ndarray:
+    """Rows of numbers as one array, the shorter ones padded with NaN."""
+    width = max(map(len, rows))
+    return np.array([[*row, *[math.nan] * (width - len(row))] for row in rows])
 
 
 def posterior_from_log_joint(logs: np.ndarray) -> np.ndarray:
@@ -154,33 +134,28 @@ def score_from_log_joint(logs: np.ndarray) -> np.ndarray:
 
 
 class NBModel:
-    def __init__(self, priors, feature_stats, params: NBParams):
-        self.priors = priors  # shape (2,)
-        self.feature_stats = feature_stats  # [class][feature] -> stat
-        self.params = params
-        # per class, (feature indices, scorer) of each kind and sample count
-        self._scorers = []
-        for row in feature_stats:
-            groups = {}
-            for j, stat in enumerate(row):
-                groups.setdefault((type(stat), len(getattr(stat, "samples", ()))), []).append(j)
-            self._scorers.append([(idx, kind.scorer([row[j] for j in idx]))
-                                  for (kind, _), idx in groups.items()])
+    def __init__(self, priors, kinds, params: NBParams):
+        # priors: shape (2,); kinds: per class, likelihood kinds that cover each feature once
+        self.priors, self.kinds, self.params = priors, kinds, params
 
-    def log_likelihoods(self, X, c: int) -> np.ndarray:
-        """log P(x_j | class c) of each row and feature of X, shape (n, d)."""
-        out = np.empty(X.shape[::-1])  # features x rows
-        for idx, score in self._scorers[c]:
-            out[idx] = score(X.T[idx])
-        return out.T
+    def log_likelihoods(self, X) -> np.ndarray:
+        """log P(x_j | class c) of each feature j, row and class c of X, shape (d, n, 2)."""
+        out = np.empty((*X.shape[::-1], 2))
+        for c in (0, 1):
+            for kind in self.kinds[c]:
+                out[kind.features, :, c] = kind(X.T[kind.features])
+        return out
 
     def log_joint(self, X) -> np.ndarray:
-        """log P(class) + sum of the feature log-likelihoods, shape (n, 2)."""
-        out = np.tile(np.log(self.priors), (len(X), 1))
-        for c in (0, 1):
-            for column in self.log_likelihoods(X, c).T:
-                out[:, c] += column
-        return out
+        """log P(class) plus the feature log-likelihoods in schema order, shape (n, 2)."""
+        out, block = np.empty((2, len(X))), np.empty(X.shape[::-1])  # block: one class's
+        for c, log_prior in enumerate(np.log(self.priors).tolist()):
+            for kind in self.kinds[c]:
+                block[kind.features] = kind(X.T[kind.features])
+            out[c] = log_prior
+            for column in block:
+                out[c] += column
+        return out.T
 
     def posterior_batch(self, X) -> np.ndarray:
         """P(class | x) of each row of X, shape (n, 2)."""
@@ -190,19 +165,45 @@ class NBModel:
         return score_from_log_joint(self.log_joint(X))
 
     def to_dict(self):
-        return {
-            "params": self.params.to_dict(),
-            "priors": [float(p) for p in self.priors],
-            "feature_stats": [[stat.to_dict() for stat in row] for row in self.feature_stats],
-        }
+        rows = [{j: r for kind in kinds for j, r in zip(kind.features.tolist(), kind.records())}
+                for kinds in self.kinds]
+        return {"params": self.params.to_dict(), "priors": [float(p) for p in self.priors],
+                "feature_stats": [[row[j] for j in sorted(row)] for row in rows]}
 
     @classmethod
     def from_dict(cls, d, schema):
-        stats = [[_STATS[s["type"]].from_dict(s) for s in row] for row in d["feature_stats"]]
-        if len(stats) != 2 or any(len(row) != len(schema) for row in stats):
+        rows = [[_KINDS[s["type"]].read(s) for s in row] for row in d["feature_stats"]]
+        if len(rows) != 2 or any(len(row) != len(schema) for row in rows):
             raise ValueError(f"feature_stats is not 2 x {len(schema)}")
+        kinds = []
+        for row in rows:
+            groups = {}  # feature indices by kind, kernels by sample count
+            for j, (key, _) in enumerate(row):
+                groups.setdefault(key, []).append(j)
+            kinds.append([kind(np.array(js), *map(_padded, zip(*(row[j][1] for j in js))))
+                          for (kind, _), js in groups.items()])
         return cls(priors=as_shaped(d["priors"], (2,), "priors", positive=True),
-                   feature_stats=stats, params=NBParams.from_dict(d["params"]))
+                   kinds=kinds, params=NBParams.from_dict(d["params"]))
+
+
+def _quartiles(block) -> np.ndarray:
+    """np.percentile(block, [75, 25], axis=1) bit for bit: Hyndman and Fan's type 7, the
+    linear interpolation between two order statistics np.partition places, as numpy's _lerp."""
+    at = [(block.shape[1] - 1) * q for q in (0.75, 0.25)]
+    below = [math.floor(v) for v in at]
+    part = np.partition(block, sorted({*below, *(k + 1 for k in below)}), axis=1)
+    a, b, t = part[:, below], part[:, [k + 1 for k in below]], np.array(at) - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t).T
+
+
+def _moments(block) -> tuple[np.ndarray, np.ndarray]:
+    """np.mean(block, axis=1, keepdims=True) and np.var(block, axis=1, ddof=1) bit for bit, in
+    the steps of numpy's own _var, which computes the mean too; np.std is the root of the var."""
+    n = block.shape[1]
+    mean = np.add.reduce(block, axis=1, keepdims=True) / n
+    dev = block - mean
+    return mean, np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1)
 
 
 def nb_fit(ds: Dataset, params: NBParams = NBParams()) -> NBModel:
@@ -211,37 +212,35 @@ def nb_fit(ds: Dataset, params: NBParams = NBParams()) -> NBModel:
         raise SingleClassData("both classes required to fit naive Bayes")
     if neg < 2 or pos < 2:
         raise TooFewRows("need at least 2 rows per class")
-    cont = [j for j, f in enumerate(ds.schema) if f.kind == CONTINUOUS]
-    tables = [(j, f.allowed_values) for j, f in enumerate(ds.schema) if f.kind != CONTINUOUS]
-    in_class = [ds.y == 0, ds.y == 1]
-    indicators = np.array(in_class, dtype=float)
-    stats = [[None] * len(ds.schema) for _ in in_class]
+    continuous = np.array([f.kind == CONTINUOUS for f in ds.schema])
+    cont, tables = np.flatnonzero(continuous), np.flatnonzero(~continuous)
+    in_class, kinds = [ds.y == 0, ds.y == 1], [[], []]
     columns = ds.X.T[cont]
     if not params.use_kernel_density:
         # the floor keeps a zero-variance column from a degenerate spike
-        floor = 1e-9 * (np.var(columns, axis=1, ddof=1) + 1e-12)
-    for row, rows in zip(stats, in_class):
+        floor = 1e-9 * (_moments(columns)[1] + 1e-12)
+    for row, rows in zip(kinds, in_class if len(cont) else ()):  # no kind of no features
         block = columns.compress(rows, axis=1)  # C-contiguous (features x rows)
+        mean, var = _moments(block)
         if params.use_kernel_density:
             # Silverman's rule: 0.9 n^-1/5 times the smaller of the standard
             # deviation and IQR / 1.34, or else max(|mean|, 1) / 1000
-            spread = np.std(block, axis=1, ddof=1)
-            iqr = np.subtract(*np.percentile(block, [75, 25], axis=1))
+            spread, iqr = np.sqrt(var), np.subtract(*_quartiles(block))
             spread = np.where(iqr > 0, np.minimum(spread, iqr / 1.34), spread)
-            spread = np.where(spread <= 0,
-                              np.maximum(np.abs(np.mean(block, axis=1)), 1.0) * 1e-3, spread)
+            spread = np.where(spread <= 0, np.maximum(np.abs(mean[:, 0]), 1.0) * 1e-3, spread)
             h = 0.9 * spread * block.shape[1] ** (-0.2) * params.bandwidth_adjust
-            for j, samples, bandwidth in zip(cont, block, h.tolist()):
-                row[j] = _KDEStat(samples=samples, bandwidth=bandwidth)
+            row.append(_Kernel(cont, block, h[:, None]))
         else:
-            var = np.maximum(np.var(block, axis=1, ddof=1), floor).tolist()
-            for j, mean, v in zip(cont, np.mean(block, axis=1).tolist(), var):
-                row[j] = _GaussianStat(mean=mean, var=v)
-    for j, v in tables:
-        # one comparison with the table's values; the product with the class
-        # indicators counts each class's hits
-        counts = indicators @ (ds.X[:, j, None] == np.array(v))
-        probs = (counts + params.laplace) / (np.array([[neg], [pos]]) + params.laplace * len(v))
-        for row, p in zip(stats, probs):
-            row[j] = _FrequencyStat(values=tuple(v), probs=p)
-    return NBModel(priors=np.array([neg, pos]) / ds.n_rows, feature_stats=stats, params=params)
+            row.append(_Gaussian(cont, mean, np.maximum(var, floor)[:, None]))
+    if len(tables):
+        values = _padded([ds.schema[j].allowed_values for j in tables])
+        # one comparison (tables x values x rows), one product with the class indicators
+        hits = ds.X.T[tables][:, None, :] == values[:, :, None]
+        counts = (hits.reshape(-1, ds.n_rows) @ np.array(in_class, dtype=float).T).T
+        pads = np.isnan(values)
+        probs = (counts.reshape(2, *values.shape) + params.laplace) / (
+            np.array([[[neg]], [[pos]]]) + params.laplace * (~pads).sum(axis=1, keepdims=True))
+        probs[:, pads] = math.nan
+        for row, p in zip(kinds, probs):
+            row.append(_Table(tables, values, p))
+    return NBModel(priors=np.array([neg, pos]) / ds.n_rows, kinds=kinds, params=params)

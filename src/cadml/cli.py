@@ -219,13 +219,19 @@ def rank(ds, config, evaluator) -> Report:
                        help="Smallest CV-accuracy gain that counts as progress."))
 def subset(data_path, header, folds, seed, stale_limit, min_improvement=0.005) -> Report:
     """Wrapper subset selection: best-first search around naive Bayes CV accuracy."""
+    return _subset(load_dataset(data_path, header=header),
+                   {"data": str(data_path), "header": header},
+                   folds, seed, stale_limit, min_improvement)
+
+
+def _subset(ds, config, folds, seed, stale_limit, min_improvement=0.005) -> Report:
+    """The subset report on a loaded table, config naming it."""
     from .feature_selection import best_first_subset
-    result = best_first_subset(load_dataset(data_path, header=header), NBParams(), folds=folds,
-                               seed=seed, stale_limit=stale_limit,
+    result = best_first_subset(ds, NBParams(), folds=folds, seed=seed, stale_limit=stale_limit,
                                min_improvement=min_improvement)
     return Report(
-        config={"command": "subset", "data": str(data_path), "header": header, "folds": folds,
-                "seed": seed, "stale_limit": stale_limit, "min_improvement": min_improvement},
+        config={"command": "subset", **config, "folds": folds, "seed": seed,
+                "stale_limit": stale_limit, "min_improvement": min_improvement},
         body=result.to_dict,
         rows=lambda: [["selected", "objective", "expansions"],
                       [" ".join(result.selected), result.objective, result.expansions]],
@@ -363,7 +369,7 @@ def pipeline(data_path, folds, seed, subset_seed, stale_limit) -> Report:
     stages = {  # JSON key: (heading, report), in the order the text shows them
         **{f"rankings.{e}": (f"feature ranking: {e}", rank(ds, {}, e)) for e in _EVALUATORS},
         "subset": ("wrapper subset search (naive Bayes, best-first)",
-                   subset(data_path, False, folds, subset_seed, stale_limit)),
+                   _subset(ds, {}, folds, subset_seed, stale_limit)),
         "baseline": (f"naive Bayes baseline on the 7-feature view ({folds}-fold, seed {seed})",
                      cv(view, {}, folds, "nb", seed, False)),
         "comparison": ("model comparison (grid-tuned, identical folds)",

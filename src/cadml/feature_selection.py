@@ -205,8 +205,7 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
         test = assignment.test_indices(f)
         model = nb_fit(ds.subset_rows(assignment.train_indices(f)), wrapped)
         prior[test] = np.log(model.priors)
-        for c in (0, 1):
-            columns[:, test, c] = model.log_likelihoods(ds.X[test], c).T
+        columns[:, test] = model.log_likelihoods(ds.X[test])
     fold_sizes = np.bincount(assignment.fold_of_row)
 
     def objectives(subsets) -> list:

@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml.classifiers import NBParams, nb_fit
-from cadml.classifiers.naive_bayes import NBModel, _FrequencyStat, _GaussianStat, _KDEStat
+from cadml.classifiers import FittedModel, NBParams, load_model, nb_fit, save_model
+from cadml.classifiers.naive_bayes import NBModel, _moments, _quartiles
 from cadml.dataset import (
     BINARY, CATEGORICAL, CONTINUOUS, SELECTED_FEATURES, Dataset, FeatureSchema, select_columns,
 )
@@ -106,8 +107,8 @@ def test_bandwidth_adjust_changes_density():
     ds = make_dataset(X, y)
     a = nb_fit(ds, NBParams(use_kernel_density=True, bandwidth_adjust=1.0))
     b = nb_fit(ds, NBParams(use_kernel_density=True, bandwidth_adjust=3.0))
-    h_a = a.feature_stats[0][0].bandwidth
-    h_b = b.feature_stats[0][0].bandwidth
+    h_a = a.to_dict()["feature_stats"][0][0]["bandwidth"]
+    h_b = b.to_dict()["feature_stats"][0][0]["bandwidth"]
     assert abs(h_b - 3.0 * h_a) < 1e-12
 
 
@@ -143,19 +144,20 @@ def test_serialization_roundtrip():
 
 
 def scalar_log_likelihood(stat, value: float) -> float:
-    """The per-value likelihood naive Bayes used before it scored whole columns."""
-    if isinstance(stat, _GaussianStat):
-        return -0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(stat.var) \
-            - 0.5 * (value - stat.mean) ** 2 / stat.var
-    if isinstance(stat, _KDEStat):
-        h = stat.bandwidth
-        z = (value - stat.samples) / h
+    """The per-value likelihood naive Bayes used before it scored whole
+    columns, of one per-feature record of the model file."""
+    if stat["type"] == "gaussian":
+        return -0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(stat["var"]) \
+            - 0.5 * (value - stat["mean"]) ** 2 / stat["var"]
+    if stat["type"] == "kde":
+        h = stat["bandwidth"]
+        z = (value - np.array(stat["samples"])) / h
         logs = -0.5 * math.log(2.0 * math.pi) - math.log(h) - 0.5 * z * z
         m = float(np.max(logs))
-        return m + math.log(float(np.sum(np.exp(logs - m)))) - math.log(len(stat.samples))
+        return m + math.log(float(np.sum(np.exp(logs - m)))) - math.log(len(stat["samples"]))
     # frequency table; unseen value without smoothing has probability 0
     try:
-        p = float(stat.probs[stat.values.index(value)])
+        p = stat["probs"][stat["values"].index(value)]
     except ValueError:
         p = 0.0
     return math.log(p) if p > 0 else -math.inf
@@ -163,12 +165,13 @@ def scalar_log_likelihood(stat, value: float) -> float:
 
 def oracle_log_joint(model, X) -> np.ndarray:
     """log P(class) plus the scalar likelihoods, one row and one feature at a time."""
+    stats = model.to_dict()["feature_stats"]
     out = np.empty((len(X), 2))
     for i, x in enumerate(X):
         out[i] = np.log(model.priors)
         for c in (0, 1):
             for j in range(X.shape[1]):
-                out[i, c] += scalar_log_likelihood(model.feature_stats[c][j], float(x[j]))
+                out[i, c] += scalar_log_likelihood(stats[c][j], float(x[j]))
     return out
 
 
@@ -194,10 +197,11 @@ def test_log_joint_matches_scalar_oracle(cleveland, params, width):
     assert np.isneginf(oracle).any() == (params.laplace == 0.0)
 
 
-def oracle_fit(ds, params: NBParams) -> NBModel:
-    """nb_fit as it was before it took whole-array passes: one numpy call per
-    column statistic and one per frequency-table value, the variance floor
-    recomputed per class, and the bandwidth stored as a Python float."""
+def oracle_fit(ds, params: NBParams) -> dict:
+    """The model-file form (NBModel.to_dict) of nb_fit as it was before it
+    took whole-array passes: one numpy call per column statistic and one per
+    frequency-table value, the variance floor recomputed per class, and the
+    bandwidth stored as a Python float."""
     neg, pos = ds.class_counts()
     feature_stats = []
     for c in (0, 1):
@@ -213,19 +217,20 @@ def oracle_fit(ds, params: NBParams) -> NBModel:
                 if spread <= 0:
                     spread = max(abs(float(np.mean(col))), 1.0) * 1e-3
                 h = 0.9 * spread * n ** (-0.2) * params.bandwidth_adjust
-                row.append(_KDEStat(samples=col.copy(), bandwidth=float(h)))
+                row.append({"type": "kde", "samples": col.tolist(), "bandwidth": float(h)})
             elif feat.kind == CONTINUOUS:
                 floor = 1e-9 * (float(np.var(ds.X[:, j], ddof=1)) + 1e-12)
                 var = max(float(np.var(col, ddof=1)), floor)
-                row.append(_GaussianStat(mean=float(np.mean(col)), var=var))
+                row.append({"type": "gaussian", "mean": float(np.mean(col)), "var": var})
             else:
                 values = feat.allowed_values
                 counts = np.array([float(np.sum(col == v)) for v in values])
                 probs = (counts + params.laplace) / (len(col) + params.laplace * len(values))
-                row.append(_FrequencyStat(values=tuple(values), probs=probs))
+                row.append({"type": "frequency", "values": list(values),
+                            "probs": [float(p) for p in probs]})
         feature_stats.append(row)
-    return NBModel(priors=np.array([neg / ds.n_rows, pos / ds.n_rows]),
-                   feature_stats=feature_stats, params=params)
+    return {"params": params.to_dict(), "priors": [neg / ds.n_rows, pos / ds.n_rows],
+            "feature_stats": feature_stats}
 
 
 @pytest.mark.parametrize("kde", [False, True], ids=["gaussian", "kde"])
@@ -250,7 +255,7 @@ def test_fit_matches_per_column_oracle(cleveland, kde):
         for laplace in (0.0, 0.5, 1.0):
             for adjust in ((0.4, 2.5) if kde else (1.0,)):
                 params = NBParams(use_kernel_density=kde, laplace=laplace, bandwidth_adjust=adjust)
-                assert repr(nb_fit(ds, params).to_dict()) == repr(oracle_fit(ds, params).to_dict())
+                assert repr(nb_fit(ds, params).to_dict()) == repr(oracle_fit(ds, params))
 
 
 def test_ragged_kde_model_scores_as_scalar_oracle(cleveland):
@@ -262,8 +267,69 @@ def test_ragged_kde_model_scores_as_scalar_oracle(cleveland):
     for cut, j in zip((7, 7, 19, None), kde):  # two share a count, one differs, one is whole
         d["feature_stats"][0][j]["samples"] = d["feature_stats"][0][j]["samples"][:cut]
     ragged = NBModel.from_dict(d, cleveland.schema)
-    assert len({len(ragged.feature_stats[0][j].samples) for j in kde}) == 3
+    assert len({len(ragged.to_dict()["feature_stats"][0][j]["samples"]) for j in kde}) == 3
     rng = np.random.default_rng(3)
     continuous = [f.kind == CONTINUOUS for f in cleveland.schema]
     X = np.vstack([cleveland.X, cleveland.X + rng.normal(size=cleveland.X.shape) * continuous])
     assert np.array_equal(ragged.log_joint(X), oracle_log_joint(ragged, X))
+
+
+@st.composite
+def row_blocks(draw):
+    """(k, n) blocks of 2 to 300 columns, rows at magnitudes 1e-8 to 1e8; in
+    some, every row has ties (a few distinct values) or is constant (one)."""
+    k, n = draw(st.integers(1, 5)), draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-8, 9, (k, 1))
+    distinct = draw(st.sampled_from([None, 1, 2, 3, 7]))
+    if distinct is not None:
+        block = np.take_along_axis(block, rng.integers(0, min(distinct, n), (k, n)), axis=1)
+    return block
+
+
+@given(row_blocks())
+@settings(max_examples=400, deadline=None)
+def test_quartiles_are_numpy_percentiles_bit_for_bit(block):
+    assert _quartiles(block).tobytes() == np.percentile(block, [75, 25], axis=1).tobytes()
+
+
+@given(row_blocks())
+@settings(max_examples=200, deadline=None)
+def test_moments_are_numpy_mean_var_and_std_bit_for_bit(block):
+    mean, var = _moments(block)
+    assert mean.tobytes() == np.mean(block, axis=1, keepdims=True).tobytes()
+    assert var.tobytes() == np.var(block, axis=1, ddof=1).tobytes()
+    assert np.sqrt(var).tobytes() == np.std(block, axis=1, ddof=1).tobytes()
+
+
+def ragged(d):
+    """A hand edit of a naive-Bayes model file on all 13 features: class 0's
+    kernel densities cut to three sample counts, class 1's first frequency
+    table cut to one value."""
+    stats = d["model"]["feature_stats"]
+    kde = [j for j, stat in enumerate(stats[0]) if stat["type"] == "kde"]
+    for cut, j in zip((7, 7, 19, None), kde):
+        stats[0][j]["samples"] = stats[0][j]["samples"][:cut]
+    table = next(stat for stat in stats[1] if stat["type"] == "frequency")
+    table["values"], table["probs"] = table["values"][:1], [0.25]
+    return d
+
+
+@pytest.mark.parametrize("params,edit", [
+    (NBParams(), None),
+    (NBParams(use_kernel_density=True), None),
+    (NBParams(laplace=1.0), None),
+    (NBParams(use_kernel_density=True, laplace=0.5, bandwidth_adjust=2.5), None),
+    (NBParams(use_kernel_density=True), ragged),
+], ids=["gaussian", "kde", "laplace", "kde-smoothed", "kde-ragged"])
+def test_model_file_round_trips_byte_for_byte(cleveland, tmp_path, params, edit):
+    """save_model -> load_model -> save_model writes the same bytes: the
+    model's parameter arrays give back the per-feature records they were read
+    from, a hand-edited file's included."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(FittedModel(nb_fit(cleveland, params), cleveland.schema, None), first)
+    if edit is not None:
+        first.write_text(json.dumps(edit(json.loads(first.read_text())), sort_keys=True,
+                                    indent=2))
+    save_model(load_model(first), second)
+    assert second.read_bytes() == first.read_bytes()

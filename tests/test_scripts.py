@@ -52,6 +52,19 @@ def test_run_pipeline_fast_json(tmp_path):
     assert blank == "\n" and total.startswith("total time: ") and wrote == f"wrote {out}\n"
 
 
+def test_run_pipeline_fast_keeps_an_explicit_folds(tmp_path):
+    """--fast sets 5 folds only when --folds is not given; its stale limit of
+    2 holds either way."""
+    proc = run_script(tmp_path, "--fast", "--folds", "7", "--data", DATA)
+    assert proc.returncode == 0, proc.stderr
+    text = tmp_path / "pipeline.txt"
+    assert run_cli("pipeline", "--folds", "7", "--stale-limit", "2", "--data", DATA,
+                   "--out", str(text)) == 0
+    *lines, blank, total = proc.stdout.splitlines(keepends=True)
+    assert "".join(lines) == text.read_text()
+    assert "(7-fold, seed 2018)" in text.read_text()
+
+
 def test_pipeline_sections_are_the_command_reports(tmp_path):
     """Each section of the pipeline report is the report of the CLI command
     with the same configuration."""
@@ -65,6 +78,15 @@ def test_pipeline_sections_are_the_command_reports(tmp_path):
                                            "--stale-limit", "2")
     assert payload["baseline"] == cli_report(tmp_path, "cv", "--folds", "5")
     assert payload["comparison"] == cli_report(tmp_path, "compare", "--folds", "5")
+
+
+def test_pipeline_reads_the_data_file_once(monkeypatch):
+    """The subset stage uses the table the pipeline loaded for the rankings."""
+    paths, load = [], cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda path, **options: paths.append(path) or load(path, **options))
+    cli.pipeline(DATA, 5, cli.DEFAULT_SEED, cli.SUBSET_SEED, 2)
+    assert paths == [DATA]
 
 
 @pytest.mark.parametrize("args,code", [
