@@ -1,12 +1,15 @@
 """Naive Bayes with Gaussian or kernel-density likelihoods for continuous
 features and (Laplace-smoothed) frequency tables for the discrete kinds.
 
-nb_fit takes whole-array passes per class, and an NBModel holds one set of
-parameter arrays per class and likelihood kind, which scores its features'
-columns in one pass, bit for bit per feature; per-feature records exist only
-in the model file. Posteriors are computed in log space and renormalized; a
-row's score is P(1|x) - P(0|x), so equal posteriors score 0, which labels
-class 0.
+nb_fit takes whole-array passes per class, its moments from the routine that
+z-scoring uses (dataset._moments), and an NBModel holds one set of parameter
+arrays per class and likelihood kind, which scores its features' columns in
+one pass, bit for bit per feature; per-feature records exist only in the
+model file. log_likelihoods is the one loop over the kinds: log_joint and the
+wrapper search add its block of a class in schema order. Posteriors are
+computed in log space, a non-finite log-joint counting as -inf, and
+renormalized; a row's score is P(1|x) - P(0|x), so equal posteriors score 0,
+which labels class 0.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..dataset import CONTINUOUS, Dataset
+from ..dataset import CONTINUOUS, Dataset, _moments
 from ..errors import SingleClassData, TooFewRows
 from .params import NBParams, as_shaped
 
@@ -115,14 +118,15 @@ def _padded(rows) -> np.ndarray:
 
 
 def posterior_from_log_joint(logs: np.ndarray) -> np.ndarray:
-    """Class posteriors of (n, 2) log-joints, renormalized over each row's
-    finite entries, uniform for a row with none. Overwrites logs."""
-    finite = np.isfinite(logs)
-    none = ~(finite[:, 0] | finite[:, 1])
-    logs[none], finite[none] = 0.0, True
-    kept = np.where(finite, logs, -np.inf)
-    probs = np.where(finite, np.exp(logs - np.maximum(kept[:, :1], kept[:, 1:])), 0.0)
-    return probs / (probs[:, :1] + probs[:, 1:])
+    """Class posteriors of (n, 2) log-joints: every non-finite log-joint counts
+    as -inf, each row less its maximum is exponentiated and normalized, and a
+    row with no finite entry is uniform. Overwrites logs."""
+    np.copyto(logs, -np.inf, where=~(logs < np.inf))  # NaN and +inf fail logs < inf
+    top = np.maximum(logs[:, :1], logs[:, 1:])
+    uniform = top[:, 0] == -np.inf
+    logs[uniform], top[uniform] = 0.0, 0.0
+    np.exp(np.subtract(logs, top, out=logs), out=logs)
+    return logs / (logs[:, :1] + logs[:, 1:])
 
 
 def score_from_log_joint(logs: np.ndarray) -> np.ndarray:
@@ -138,24 +142,18 @@ class NBModel:
         # priors: shape (2,); kinds: per class, likelihood kinds that cover each feature once
         self.priors, self.kinds, self.params = priors, kinds, params
 
-    def log_likelihoods(self, X) -> np.ndarray:
-        """log P(x_j | class c) of each feature j, row and class c of X, shape (d, n, 2)."""
-        out = np.empty((*X.shape[::-1], 2))
-        for c in (0, 1):
-            for kind in self.kinds[c]:
-                out[kind.features, :, c] = kind(X.T[kind.features])
+    def log_likelihoods(self, X, c: int) -> np.ndarray:
+        """log P(x_j | class c) of each feature j and row of X, shape (d, n)."""
+        out = np.empty(X.shape[::-1])
+        for kind in self.kinds[c]:
+            out[kind.features] = kind(X.T[kind.features])
         return out
 
     def log_joint(self, X) -> np.ndarray:
         """log P(class) plus the feature log-likelihoods in schema order, shape (n, 2)."""
-        out, block = np.empty((2, len(X))), np.empty(X.shape[::-1])  # block: one class's
-        for c, log_prior in enumerate(np.log(self.priors).tolist()):
-            for kind in self.kinds[c]:
-                block[kind.features] = kind(X.T[kind.features])
-            out[c] = log_prior
-            for column in block:
-                out[c] += column
-        return out.T
+        # sum frees one class's block before the next class's is built
+        return np.array([sum(self.log_likelihoods(X, c), np.full(len(X), log_prior))
+                         for c, log_prior in enumerate(np.log(self.priors).tolist())]).T
 
     def posterior_batch(self, X) -> np.ndarray:
         """P(class | x) of each row of X, shape (n, 2)."""
@@ -195,15 +193,6 @@ def _quartiles(block) -> np.ndarray:
     a, b, t = part[:, below], part[:, [k + 1 for k in below]], np.array(at) - below
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t).T
-
-
-def _moments(block) -> tuple[np.ndarray, np.ndarray]:
-    """np.mean(block, axis=1, keepdims=True) and np.var(block, axis=1, ddof=1) bit for bit, in
-    the steps of numpy's own _var, which computes the mean too; np.std is the root of the var."""
-    n = block.shape[1]
-    mean = np.add.reduce(block, axis=1, keepdims=True) / n
-    dev = block - mean
-    return mean, np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1)
 
 
 def nb_fit(ds: Dataset, params: NBParams = NBParams()) -> NBModel:

@@ -5,7 +5,8 @@ The canonical input is the UCI "processed" Cleveland layout: comma separated,
 cell. A header variant is accepted where the first line names the columns.
 Training tables (parse_csv) and target-free feature rows (parse_features) go
 through one line reader; '?' is allowed only in a training table's feature
-cells.
+cells. _moments is the package's one mean and variance routine: z-scoring
+and naive Bayes both take their column statistics from it.
 """
 from __future__ import annotations
 
@@ -61,9 +62,8 @@ CLEVELAND_SCHEMA: tuple[FeatureSchema, ...] = (
     FeatureSchema("Thal", CATEGORICAL, (3.0, 6.0, 7.0)),
 )
 
-# The seven features kept after feature selection and the six dropped ones.
+# The seven features kept after feature selection.
 SELECTED_FEATURES = ("Cp", "MaxHeart", "ExAng", "OldPeak", "Slope", "MajorVessels", "Thal")
-REMOVED_FEATURES = ("Age", "Sex", "Chol", "fbs", "Restbp", "RestECG")
 _split_lines = re.compile(r"\r\n?|\n").split  # as editors number lines, not str.splitlines
 
 
@@ -266,23 +266,30 @@ class Standardization:
         return (X - self.mean) / self.std
 
 
-def fit_standardization(ds: Dataset) -> Standardization:
-    """Z-score stats for continuous features (sample stddev, ddof=1).
+def _moments(block) -> tuple[np.ndarray, np.ndarray]:
+    """np.mean(block, axis=1, keepdims=True) and np.var(block, axis=1, ddof=1) bit for bit, in
+    the steps of numpy's own _var, which computes the mean too; np.std is the root of the var.
+    Each row of a C-contiguous block gets the pairwise sums np.mean takes of that row alone."""
+    n = block.shape[1]
+    mean = np.add.reduce(block, axis=1, keepdims=True) / n
+    dev = block - mean
+    return mean, np.add.reduce(np.square(dev, out=dev), axis=1) / (n - 1)
 
-    Non-continuous and zero-variance columns get identity stats so they pass
-    through unchanged.
+
+def fit_standardization(ds: Dataset) -> Standardization:
+    """Z-score stats for continuous features: each column's np.mean and
+    np.std (ddof=1) bit for bit, from the moments pass nb_fit takes per class.
+
+    Non-continuous and zero-variance columns, and all columns of a table of
+    fewer than two rows, get identity stats so they pass through unchanged.
     """
-    d = len(ds.schema)
-    mean = np.zeros(d)
-    std = np.ones(d)
-    for j, feat in enumerate(ds.schema):
-        if feat.kind != CONTINUOUS:
-            continue
-        col = ds.X[:, j]
-        s = np.std(col, ddof=1) if len(col) > 1 else 0.0
-        if s > 0.0:
-            mean[j] = np.mean(col)
-            std[j] = s
+    mean, std = np.zeros(len(ds.schema)), np.ones(len(ds.schema))
+    if ds.n_rows > 1:
+        cont = np.flatnonzero([f.kind == CONTINUOUS for f in ds.schema])
+        m, var = _moments(ds.X.T[cont])  # C-contiguous (features x rows)
+        s = np.sqrt(var)
+        kept = s > 0.0
+        mean[cont[kept]], std[cont[kept]] = m[kept, 0], s[kept]
     return Standardization(mean=mean, std=std)
 
 

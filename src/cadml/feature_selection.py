@@ -176,11 +176,12 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
     The objective does not refit per subset. Every per-feature statistic,
     the variance floor included, depends only on its own column, and the
     priors on no column, so naive Bayes is fit once per fold on all columns
-    and each held-out row gets a log prior and one log-likelihood column per
-    feature. A subset's held-out log-joint is the prior plus its columns,
-    added in schema order: the same float operations in the same order as
-    NBModel.log_joint on the subset's columns, so the objective equals
-    cross_validate's mean_accuracy on select_columns(ds, subset) exactly.
+    and each held-out row gets a log prior and, per class, the log-likelihood
+    columns of NBModel.log_likelihoods, the block NBModel.log_joint adds up.
+    A subset's held-out log-joint is the prior plus its columns, added in
+    schema order: the same float operations in the same order as log_joint
+    on the subset's columns, so the objective equals cross_validate's
+    mean_accuracy on select_columns(ds, subset) exactly.
     The new subsets of an expansion are scored at once: their held-out
     log-joints stack into one (subsets * n, 2) posterior, and one bincount
     over (subset, fold) cells counts every subset's held-out hits. They are
@@ -205,7 +206,8 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
         test = assignment.test_indices(f)
         model = nb_fit(ds.subset_rows(assignment.train_indices(f)), wrapped)
         prior[test] = np.log(model.priors)
-        columns[:, test] = model.log_likelihoods(ds.X[test])
+        for c in (0, 1):
+            columns[:, test, c] = model.log_likelihoods(ds.X[test], c)
     fold_sizes = np.bincount(assignment.fold_of_row)
 
     def objectives(subsets) -> list:

@@ -41,10 +41,10 @@ class Grid:
 
 
 def default_grids() -> dict[str, Grid]:
-    """The published tuning grids: three SVM costs at the fixed radial sigma,
+    """The published tuning grids: three SVM costs at the paper's radial sigma,
     three odd neighbor counts, and the two naive Bayes event models."""
     return {
-        "svm": Grid("svm", tuple(SVMParams(C=c, sigma=0.1268408) for c in (0.25, 0.5, 1.0))),
+        "svm": Grid("svm", tuple(SVMParams(C=c) for c in (0.25, 0.5, 1.0))),
         "knn": Grid("knn", tuple(KNNParams(k=k) for k in (5, 7, 9))),
         "nb": Grid("nb", (NBParams(use_kernel_density=True, laplace=0.0, bandwidth_adjust=1.0),
                           NBParams(use_kernel_density=False, laplace=0.0, bandwidth_adjust=1.0))),

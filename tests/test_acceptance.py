@@ -23,7 +23,7 @@ from cadml.classifiers import (
 )
 from cadml.classifiers.svm import dual_objective, kkt_residuals, smo
 from cadml.cli import main
-from cadml.dataset import REMOVED_FEATURES, SELECTED_FEATURES, load_dataset, select_columns
+from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
 from cadml.evaluation import ConfusionMatrix, confusion, cross_validate, metrics
 from cadml.feature_selection import best_first_subset, rank_features
 from cadml.tuning import compare_models, default_grids, grid_search
@@ -33,6 +33,8 @@ from test_knn import oracle_predict
 from test_svm import exact_dual, gram_and_labels, qp_oracle, random_instance
 
 METRIC_NAMES = ("accuracy", "recall", "specificity", "precision")
+# the six features the paper's feature selection drops
+REMOVED_FEATURES = ("Age", "Sex", "Chol", "fbs", "Restbp", "RestECG")
 
 
 def test_headline_accuracy(cleveland7):
@@ -306,6 +308,27 @@ def test_nb_outputs_pinned(tmp_path):
     _run_cli(["subset", "--data", DATA_PATH, "--format", "json", "--out", str(paths["subset"])])
     assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
             for name, p in paths.items()} == NB_PINNED_SHA256
+
+
+# sha256 of `tune --algorithm knn --keep all` JSON and of the model file its
+# --save-model writes, at the defaults (seed 2018, all 13 features), recorded
+# before z-scoring took its column stats from the moments pass naive Bayes
+# uses. The model z-scores all five continuous columns and stores its scaled
+# exemplars; k-NN's arithmetic makes no BLAS call, so no kernel choice moves it.
+KNN_PINNED_SHA256 = {
+    "tune-all": "848752db7c416a04cbd5fb6627e48d52b21a86491cb3de1c84dd6c6b92039307",
+    "model": "82a645813dd3f4f3a551ba75092014772060370d7a4d31e37fc2a584a6e18b00",
+}
+
+
+def test_knn_outputs_pinned(tmp_path):
+    """The z-scoring stats may be computed another way, but these bytes may not change."""
+    paths = {name: tmp_path / f"{name}.json" for name in KNN_PINNED_SHA256}
+    _run_cli(["tune", "--data", DATA_PATH, "--algorithm", "knn", "--keep", "all",
+              "--format", "json", "--out", str(paths["tune-all"]),
+              "--save-model", str(paths["model"])])
+    assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in paths.items()} == KNN_PINNED_SHA256
 
 
 def test_data_pipeline_accounting(cleveland):

@@ -381,6 +381,41 @@ def test_standardize_zero_variance_passthrough():
     assert stats.std[0] == 1.0 and stats.mean[0] == 0.0
 
 
+def oracle_standardization(ds):
+    """fit_standardization as a loop over columns: np.mean and np.std (ddof=1)
+    of each continuous column, identity stats for the other columns, for a
+    zero-variance column and for every column of a one-row table."""
+    mean, std = np.zeros(len(ds.schema)), np.ones(len(ds.schema))
+    for j, feat in enumerate(ds.schema):
+        if feat.kind != CONTINUOUS:
+            continue
+        col = ds.X[:, j]
+        s = np.std(col, ddof=1) if len(col) > 1 else 0.0
+        if s > 0.0:
+            mean[j], std[j] = np.mean(col), s
+    return mean, std
+
+
+@given(st.integers(1, 297), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fit_standardization_is_the_per_column_loop_bit_for_bit(cleveland, n, seed, rescale,
+                                                                constant):
+    """Random subsets of n of the table's 297 rows, some with every column
+    scaled by its own power of ten, some with one column made constant."""
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(cleveland.n_rows, n, replace=False)
+    X = cleveland.X[rows]
+    if rescale:
+        X = X * 10.0 ** rng.integers(-8, 9, X.shape[1])
+    if constant:
+        X[:, rng.integers(X.shape[1])] = X[0, rng.integers(X.shape[1])]
+    ds = make_dataset(X, cleveland.y[rows], cleveland.schema)
+    stats = fit_standardization(ds)
+    mean, std = oracle_standardization(ds)
+    assert stats.mean.tobytes() == mean.tobytes()
+    assert stats.std.tobytes() == std.tobytes()
+
+
 def test_schema_validation():
     with pytest.raises(ValueError):
         FeatureSchema("x", "weird")

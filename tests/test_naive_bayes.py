@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import FittedModel, NBParams, load_model, nb_fit, save_model
-from cadml.classifiers.naive_bayes import NBModel, _moments, _quartiles
+from cadml.classifiers.naive_bayes import (
+    NBModel, _moments, _quartiles, posterior_from_log_joint,
+)
 from cadml.dataset import (
     BINARY, CATEGORICAL, CONTINUOUS, SELECTED_FEATURES, Dataset, FeatureSchema, select_columns,
 )
@@ -300,6 +302,29 @@ def test_moments_are_numpy_mean_var_and_std_bit_for_bit(block):
     assert mean.tobytes() == np.mean(block, axis=1, keepdims=True).tobytes()
     assert var.tobytes() == np.var(block, axis=1, ddof=1).tobytes()
     assert np.sqrt(var).tobytes() == np.std(block, axis=1, ddof=1).tobytes()
+
+
+def oracle_posterior(logs) -> np.ndarray:
+    """Posteriors renormalized over each row's finite log-joints through a mask
+    of them, uniform for a row with none."""
+    finite = np.isfinite(logs)
+    none = ~(finite[:, 0] | finite[:, 1])
+    logs[none], finite[none] = 0.0, True
+    kept = np.where(finite, logs, -np.inf)
+    probs = np.where(finite, np.exp(logs - np.maximum(kept[:, :1], kept[:, 1:])), 0.0)
+    return probs / (probs[:, :1] + probs[:, 1:])
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.floats(), st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308, -1e308, 5e-324, -745.0]))] * 2),
+    min_size=1, max_size=40), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_posterior_is_the_masked_rule_bit_for_bit(rows, fortran):
+    """Log-joints with NaN, +-inf, +-0, +-1e308 and subnormal cells, in either memory order."""
+    logs = np.array(rows, order="F" if fortran else "C")
+    with np.errstate(all="ignore"):
+        expected = oracle_posterior(logs.copy())
+        assert posterior_from_log_joint(logs).tobytes() == expected.tobytes()
 
 
 def ragged(d):
