@@ -149,8 +149,8 @@ class TrainingSet:
             self.rows, self.stats = standardize(ds) if scaling else (ds, None)
 
     def fit(self, params: HyperParams, solved=None) -> FittedModel:
-        """solved, for an SVM, is its problem already solved on these rows
-        (lockstep.solve_lockstep); without it the fit solves its own."""
+        """solved, for an SVM, is the SMOResult of its problem already solved
+        on these rows (lockstep.solve_group); without it the fit solves its own."""
         # looked up per call, not stored in ALGORITHMS, so that instrumentation
         # that replaces these module attributes (perfbench/spans.py) sees the fits
         fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]

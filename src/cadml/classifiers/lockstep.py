@@ -1,7 +1,7 @@
 """smo's steps for a batch of SVM problems at once, bit for bit. A grid
-search solves every (fold, C) problem of a sigma in a group of folds so
-(solve_lockstep), and the C values share each fold's kernel (the kernel
-reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011)."""
+search hands each group of training folds to solve_group, which solves every
+(fold, C) problem of a sigma in one batch, and the C values share each
+fold's kernel (the kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011)."""
 import math
 import mmap
 
@@ -26,13 +26,13 @@ def smo_lockstep(K, y, C, fold) -> list:
     an n x n matrix. A problem that finishes or is handed back is dropped:
     its slot leaves every per-slot array; slot[s] is the problem in slot s.
 
-    Returns one SMOResult per problem, or None for a problem still running
-    after _LOCKSTEP_STEPS_PER_ROW steps per row of its fold, or at
-    _HAND_BACK times the step by which half the batch had finished. Its fit
-    solves it alone with smo, and the fit of a candidate that has already
-    failed never does; so a C that does not converge holds the batch for at
-    most a tenth of smo's cap, and one beside others that do for a few times
-    their steps.
+    Returns one SMOResult per problem, its dual objective taken on its
+    fold's view of K, or None for a problem still running after
+    _LOCKSTEP_STEPS_PER_ROW steps per row of its fold, or at _HAND_BACK
+    times the step by which half the batch had finished. Its fit solves it
+    alone with smo, and the fit of a candidate that has already failed never
+    does; so a C that does not converge holds the batch for at most a tenth
+    of smo's cap, and one beside others that do for a few times their steps.
     """
     fold, C = np.asarray(fold), np.asarray(C, dtype=np.float64)[:, None]
     B, n = len(fold), y.shape[1]
@@ -67,8 +67,9 @@ def smo_lockstep(K, y, C, fold) -> list:
         if it == next_limit or (gap < _TOL).any():
             done = gap < _TOL
             for s, p in zip(np.flatnonzero(done), slot[done]):
-                out[p] = SMOResult(np.abs(U[0, s, :sizes[p]]), 0.5 * (m.item(s) + M.item(s)),
-                                   True, trace[:it, s].tolist())
+                a = np.abs(U[0, s, :sizes[p]])
+                out[p] = SMOResult(a, 0.5 * (m.item(s) + M.item(s)), True, trace[:it, s].tolist(),
+                                   dual_objective(K[fold[p]][:len(a), :len(a)], Y[p, :len(a)], a))
             if 2 * (len(slot) - done.sum()) <= B:
                 np.minimum(limits, _HAND_BACK * it, out=limits)
             keep = ~done & (limits[slot] > it)
@@ -117,7 +118,7 @@ def smo_lockstep(K, y, C, fold) -> list:
 
 
 def gram_workspace(nbytes: int) -> mmap.mmap:
-    """An anonymous mapping of nbytes for solve_lockstep's Gram stacks: not a
+    """An anonymous mapping of nbytes for solve_group's Gram stacks: not a
     malloc block, which once freed would raise glibc's mmap threshold, and
     pre-faulted where mmap has MAP_POPULATE (Linux), not a page at a time."""
     if hasattr(mmap, "MAP_POPULATE"):
@@ -125,22 +126,37 @@ def gram_workspace(nbytes: int) -> mmap.mmap:
     return mmap.mmap(-1, nbytes)
 
 
-def solve_lockstep(sets, sigma: float, costs, workspace) -> list:
-    """smo on each training set at each cost, by smo_lockstep on one
-    zero-padded stack of the sets' Gram matrices in workspace: out[f][c] is
-    the (dual objective, SMOResult) of sets[f] at costs[c], as svm_fit takes
-    it, or None where smo_lockstep handed the problem back. None of it refers
-    to workspace, so the next solve may overwrite it."""
-    n = max(len(ds.y) for ds in sets)
-    K = np.frombuffer(workspace, count=len(sets) * n * n).reshape(len(sets), n, n)
-    y = np.zeros((len(sets), n))
-    for f, ds in enumerate(sets):
-        m = len(ds.y)
-        rbf_gram(ds.X, ds.X, sigma, out=K[f, :m, :m])
-        K[f, :m, m:], K[f, m:] = 0.0, 0.0  # the padding, which an earlier solve may have filled
-        y[f, :m] = np.where(ds.y == 1, 1.0, -1.0)
-    res = iter(smo_lockstep(K, y, np.tile(costs, len(sets)),
-                            np.repeat(np.arange(len(sets)), len(costs))))
-    return [[None if (r := next(res)) is None else
-             (dual_objective(K[f, :len(ds.y), :len(ds.y)], y[f, :len(ds.y)], r.alpha), r)
-             for _ in costs] for f, ds in enumerate(sets)]
+def solve_group(sets, candidates, live, workspace) -> dict:
+    """{(s, c): SMOResult} of smo on sets[s] at each live SVM candidate c,
+    by smo_lockstep on one zero-padded stack of the sets' Gram matrices per
+    sigma, built in the buffer workspace() gives. Three kinds of problem are
+    left out, for their fits to solve alone: the only problem of its sigma,
+    which has no step to share; every problem of a sigma whose stack or solve
+    overflows, so that the fit's error names its candidate; and a problem
+    that smo_lockstep hands back. Nothing returned refers to the buffer, so
+    the next solve may overwrite it."""
+    by_sigma = {}
+    for c in live:
+        if candidates[c].algorithm == "svm":
+            by_sigma.setdefault(candidates[c].sigma, []).append(c)
+    solved = {}
+    for sigma, cs in by_sigma.items():
+        if len(sets) * len(cs) < 2:
+            continue
+        n = max(len(ds.y) for ds in sets)
+        K = np.frombuffer(workspace(), count=len(sets) * n * n).reshape(len(sets), n, n)
+        y = np.zeros((len(sets), n))
+        problems = [(s, c) for s in range(len(sets)) for c in cs]
+        try:
+            with np.errstate(over="raise"):
+                for s, ds in enumerate(sets):
+                    m = len(ds.y)
+                    rbf_gram(ds.X, ds.X, sigma, out=K[s, :m, :m])
+                    K[s, :m, m:], K[s, m:] = 0.0, 0.0  # padding an earlier solve may have set
+                    y[s, :m] = np.where(ds.y == 1, 1.0, -1.0)
+                res = smo_lockstep(K, y, [candidates[c].C for _, c in problems],
+                                   [s for s, _ in problems])
+        except FloatingPointError:
+            continue
+        solved.update((p, r) for p, r in zip(problems, res) if r is not None)
+    return solved

@@ -14,8 +14,8 @@ stopping test, and the centre of the interval it spans is the bias. The
 curvature of every pair, K_ii + K_jj - 2 K_ij, is one n x n matrix built
 when the solve starts, so a step reads its row instead of forming it.
 
-A grid search solves its fold problems in batches instead (lockstep.py);
-svm_fit takes a problem solved there, or solves its own with smo.
+A grid search solves its fold problems in batches (lockstep.solve_group);
+svm_fit takes the SMOResult of one, or solves its own with smo.
 """
 from __future__ import annotations
 
@@ -75,6 +75,7 @@ class SMOResult(NamedTuple):
     bias: float
     converged: bool
     objective_trace: list  # dual objective after each iteration
+    dual_objective: float  # dual_objective(K, y, alpha) on the problem's own Gram matrix
 
 
 def smo(K, y, C: float, tol: float = _TOL, max_iter: int | None = None) -> SMOResult:
@@ -148,7 +149,8 @@ def smo(K, y, C: float, tol: float = _TOL, max_iter: int | None = None) -> SMORe
             below_c, above_0 = alpha[k] < C - _ALPHA_EPS, alpha[k] > _ALPHA_EPS
             up, low = (below_c, above_0) if pos[k] else (above_0, below_c)
             up_pen[k], low_pen[k] = 0.0 if up else -math.inf, 0.0 if low else math.inf
-    return SMOResult(np.array(alpha), 0.5 * (m + M), m - M < tol, trace)
+    alpha = np.array(alpha)
+    return SMOResult(alpha, 0.5 * (m + M), m - M < tol, trace, dual_objective(K, y, alpha))
 
 
 class SVMModel:
@@ -195,26 +197,24 @@ class SVMModel:
 
 
 def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMModel:
-    """Fit on ds; solved, when given, is the (dual objective, SMOResult) of
-    ds at params from solve_lockstep. A solve that reaches smo's step cap
-    raises NotConverged."""
+    """Fit on ds; solved, when given, is the SMOResult of ds at params from
+    lockstep.solve_group, and otherwise smo solves it here. A solve that
+    reaches smo's step cap raises NotConverged."""
     neg, pos = ds.class_counts()
     if neg == 0 or pos == 0:
         raise SingleClassData("both classes required to fit the SVM")
     y = np.where(ds.y == 1, 1.0, -1.0)
     if solved is None:
-        K = rbf_gram(ds.X, ds.X, params.sigma)
-        if not (res := smo(K, y, params.C)).converged:
-            raise NotConverged(C=params.C, sigma=params.sigma, steps=len(res.objective_trace))
-        solved = dual_objective(K, y, res.alpha), res
-    objective, res = solved
-    sv = res.alpha > _ALPHA_EPS
+        solved = smo(rbf_gram(ds.X, ds.X, params.sigma), y, params.C)
+    if not solved.converged:
+        raise NotConverged(C=params.C, sigma=params.sigma, steps=len(solved.objective_trace))
+    sv = solved.alpha > _ALPHA_EPS
     return SVMModel(
         support_vectors=ds.X[sv].copy(),
-        dual_coef=(res.alpha * y)[sv],
-        bias=res.bias,
+        dual_coef=(solved.alpha * y)[sv],
+        bias=solved.bias,
         params=params,
-        dual_objective_value=objective,
-        converged=res.converged,
-        objective_trace=res.objective_trace,
+        dual_objective_value=solved.dual_objective,
+        converged=solved.converged,
+        objective_trace=solved.objective_trace,
     )

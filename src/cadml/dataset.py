@@ -237,8 +237,8 @@ def read_text(path) -> str:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
-def load_dataset(path, schema=CLEVELAND_SCHEMA, header: bool = False) -> Dataset:
-    return drop_incomplete(parse_csv(read_text(path), schema, header=header))
+def load_dataset(path, header: bool = False) -> Dataset:
+    return drop_incomplete(parse_csv(read_text(path), header=header))
 
 
 def select_columns(ds: Dataset, keep) -> Dataset:

@@ -8,10 +8,10 @@ identical inputs and seed always give the identical partition.
 
 Cross-validation is fold-major: folds go in groups of as many as fit a
 3 MB zero-padded Gram stack (5 on the 297-row Cleveland table; a smaller
-table batches more), each training fold is z-scored once, the SVM problems
-of a group that share a sigma are solved in lockstep (lockstep.smo_lockstep) in
-one Gram workspace per search, and every candidate is fitted on the group's
-folds before the next group; cross_validate is its one-candidate case.
+table batches more), each training fold is z-scored once, the group's SVM
+problems are solved by lockstep.solve_group in one Gram workspace per
+search, and every candidate is fitted on the group's folds before the next
+group; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import HyperParams, TrainingSet
-from .classifiers.lockstep import gram_workspace, solve_lockstep
+from .classifiers.lockstep import gram_workspace, solve_group
 from .dataset import Dataset
 from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
 
@@ -152,8 +152,8 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
     Gram matrices.
 
     Folds go in groups whose zero-padded Gram stack fits _GRAM_STACK_BYTES;
-    the SVM problems of a group that share a sigma are solved in lockstep
-    (_solve_svm_group) before its models are built fold by fold."""
+    a group's SVM problems are solved together (lockstep.solve_group) before
+    its models are built fold by fold."""
     per_fold = [[] for _ in candidates]
     pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
     failed = {}
@@ -172,15 +172,15 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
             except CadmlError as exc:
                 error = exc.with_traceback(None)
                 break
-        solved = _solve_svm_group(trains, start, candidates, live, workspace)
-        for f, train in enumerate(trains, start):
-            test_idx = folds.test_indices(f)
+        solved = solve_group([t.rows for t in trains], candidates, live, workspace)
+        for s, train in enumerate(trains):
+            test_idx = folds.test_indices(start + s)
             X_test, y_test = ds.X[test_idx], ds.y[test_idx]
             for c in live:
                 if c in failed:
                     continue
                 try:
-                    predicted = train.fit(candidates[c], solved.get((f, c))).predict_batch(X_test)
+                    predicted = train.fit(candidates[c], solved.get((s, c))).predict_batch(X_test)
                 except CadmlError as exc:
                     failed[c] = exc.with_traceback(None)
                     continue
@@ -196,30 +196,6 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
                      mean_accuracy=float(np.mean([r.accuracy for r in per_fold[c]])),
                      folds=folds)
             for c in range(len(candidates))]
-
-
-def _solve_svm_group(trains, start: int, candidates, live, workspace) -> dict:
-    """(fold, candidate) -> solved SVM problem, for each sigma with more
-    than one (fold, C) problem in the group; a lone problem, which has no
-    step to share, is solved by its fit. An overflow leaves its sigma's
-    problems to their fits too, so that the error names its candidate."""
-    by_sigma = {}
-    for c in live:
-        if candidates[c].algorithm == "svm":
-            by_sigma.setdefault(candidates[c].sigma, []).append(c)
-    solved = {}
-    for sigma, cs in by_sigma.items():
-        if len(trains) * len(cs) < 2:
-            continue
-        try:
-            with np.errstate(over="raise"):
-                grid = solve_lockstep([t.rows for t in trains], sigma,
-                                      [candidates[c].C for c in cs], workspace())
-        except FloatingPointError:
-            continue
-        for f, row in enumerate(grid, start):
-            solved.update(((f, c), problem) for c, problem in zip(cs, row) if problem is not None)
-    return solved
 
 
 def cross_validate(ds: Dataset, params: HyperParams, k: int, seed: int,

@@ -282,6 +282,29 @@ def test_svm_outputs_pinned(tmp_path):
             for name, p in paths.items()} == PINNED_SHA256
 
 
+# sha256 of `tune --algorithm svm --keep all` JSON on a grid of two sigmas x
+# two C and of the model file its --save-model writes (seed 2018, all 13
+# features), recorded before both SVM solvers returned their dual objective
+# in SMOResult. The two sigmas' lockstep solves share one Gram workspace, and
+# the 10 folds' 267 and 268 training rows pad each stack.
+TWO_SIGMA_GRID = [{"algorithm": "svm", "C": C, "sigma": sigma}
+                  for sigma in (0.1268408, 0.05) for C in (0.25, 1.0)]
+TWO_SIGMA_PINNED_SHA256 = {
+    "tune-all": "88c014647a663b8ca4285cf92b10682c184a47c2b580841292105d75614c5d13",
+    "model": "290d866c32906ab68872f80fb624383105654a0a80473cea203af3619d016e99",
+}
+
+
+def test_svm_two_sigma_outputs_pinned(tmp_path):
+    """The lockstep solves may be grouped another way, but these bytes may not change."""
+    paths = {name: tmp_path / f"{name}.json" for name in TWO_SIGMA_PINNED_SHA256}
+    _run_cli(["tune", "--data", DATA_PATH, "--algorithm", "svm", "--keep", "all",
+              "--grid", json.dumps(TWO_SIGMA_GRID), "--format", "json",
+              "--out", str(paths["tune-all"]), "--save-model", str(paths["model"])])
+    assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in paths.items()} == TWO_SIGMA_PINNED_SHA256
+
+
 # sha256 of `tune --algorithm nb` JSON, of the model file its --save-model
 # writes, of `tune --algorithm nb --keep all` and `cv --algorithm nb` JSON,
 # and of `subset` JSON, at the defaults (seed 2018, the 7-feature view for

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml import tuning
-from cadml.classifiers import SVMParams, TrainingSet, fit_model, svm, svm_fit
-from cadml.classifiers.lockstep import gram_workspace, smo_lockstep, solve_lockstep
+from cadml.classifiers import KNNParams, NBParams, SVMParams, TrainingSet, fit_model, svm, svm_fit
+from cadml.classifiers.lockstep import gram_workspace, smo_lockstep, solve_group
 from cadml.classifiers.svm import (
     _ALPHA_EPS,
     _CHUNK_ROWS,
@@ -85,8 +85,9 @@ def exact_dual(K, y, C):
 
 
 def seed_smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> SMOResult:
-    """The solver loop as first written, one numpy expression per step; smo
-    must reproduce its every value bit for bit."""
+    """The solver loop as first written, one numpy expression per step, with
+    the dual objective of its alpha; smo must reproduce its every value bit
+    for bit."""
     y = np.asarray(y, dtype=np.float64)
     if max_iter is None:
         max_iter = max(10_000_000, 100 * len(y))
@@ -117,7 +118,8 @@ def seed_smo(K, y, C: float, tol: float = 1e-3, max_iter: int | None = None) -> 
         for k in (i, j):
             below_c, above_0 = alpha[k] < C - _ALPHA_EPS, alpha[k] > _ALPHA_EPS
             up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
-    return SMOResult(alpha, float(0.5 * (m + M)), bool(m - M < tol), trace)
+    return SMOResult(alpha, float(0.5 * (m + M)), bool(m - M < tol), trace,
+                     dual_objective(K, y, alpha))
 
 
 def random_instance(rng, n_max=8):
@@ -363,15 +365,18 @@ def test_smo_matches_seed_loop(case, cleveland, cleveland7, monkeypatch):
         assert got.bias == want.bias
         assert got.converged == want.converged
         assert got.objective_trace == want.objective_trace
+        assert got.dual_objective == want.dual_objective
 
 
 def assert_same_solve(got, want):
-    """Equal alpha, and bias, flag and every objective as equal Python values."""
+    """Equal alpha, and bias, flag, every objective and the dual objective as
+    equal Python values."""
     assert np.array_equal(got.alpha, want.alpha)
     assert type(got.bias) is float and got.bias == want.bias
     assert type(got.converged) is bool and got.converged == want.converged
     assert all(type(v) is float for v in got.objective_trace)
     assert got.objective_trace == want.objective_trace
+    assert type(got.dual_objective) is float and got.dual_objective == want.dual_objective
 
 
 def lockstep(problems):
@@ -396,21 +401,40 @@ def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
     """The default grid's 30 fold problems, solved in lockstep in the grid
     search's two groups of 5 folds x 3 C, padded to 268 rows where a fold
     has 267, give smo's solve of each, bit for bit, on the same Gram matrix,
-    and its dual objective; the two groups share one workspace."""
+    dual objective included; the two groups share one workspace."""
     width, seed = case.split("-")[1:]
     sets = fold_sets({"7": cleveland7, "13": cleveland}[width], int(seed))
     assert {len(ds.y) for ds in sets} == {267, 268}
     grid = tuning.default_grids()["svm"].candidates
-    sigma, costs = grid[0].sigma, [p.C for p in grid]
     workspace = gram_workspace(8 * 5 * 268 * 268)
     for group in (sets[:5], sets[5:]):
-        for ds, row in zip(group, solve_lockstep(group, sigma, costs, workspace)):
-            K = rbf_gram(ds.X, ds.X, sigma)
-            for C, problem in zip(costs, row):
-                assert problem is not None
-                want = smo(K, signs(ds), C)
-                assert problem[0] == dual_objective(K, signs(ds), want.alpha)
-                assert_same_solve(problem[1], want)
+        solved = solve_group(group, grid, range(len(grid)), lambda: workspace)
+        assert len(solved) == 15
+        for s, ds in enumerate(group):
+            K = rbf_gram(ds.X, ds.X, grid[0].sigma)
+            for c, p in enumerate(grid):
+                assert_same_solve(solved[s, c], smo(K, signs(ds), p.C))
+
+
+def test_solve_group_leaves_three_kinds_of_problem_to_their_fits(cleveland7):
+    """solve_group returns smo's solve, bit for bit, of each live SVM problem
+    that shares a sigma with another, and leaves out the only problem of its
+    sigma, every problem of a sigma whose Gram matrix overflows (1e308), and
+    C = 1e8 beside C = 0.25 and 1.0, which smo_lockstep hands back; k-NN,
+    naive Bayes and a candidate that is not live are not solved."""
+    sets = fold_sets(cleveland7, 2018)[:5]
+    workspace = gram_workspace(8 * 5 * 268 * 268)
+    candidates = [SVMParams(C=0.25), KNNParams(), SVMParams(C=1e8),
+                  SVMParams(C=0.5, sigma=1e308), NBParams(), SVMParams(C=1.0),
+                  SVMParams(C=1.0, sigma=1e308), SVMParams(C=2.0, sigma=0.05)]
+    solved = solve_group(sets, candidates, range(7), lambda: workspace)
+    assert sorted(solved) == [(s, c) for s in range(5) for c in (0, 5)]
+    for (s, c), got in solved.items():
+        K = rbf_gram(sets[s].X, sets[s].X, candidates[c].sigma)
+        assert_same_solve(got, smo(K, signs(sets[s]), candidates[c].C))
+    # one set at one live C: a lone problem, solved by its fit
+    assert solve_group(sets[:1], candidates, [0, 1, 4, 7], lambda: workspace) == {}
+    assert list(solve_group(sets[:1], candidates, [0, 5], lambda: workspace)) == [(0, 0), (0, 5)]
 
 
 def test_lockstep_matches_smo_on_mixed_batches():

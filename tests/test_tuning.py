@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml import classifiers
-from cadml.classifiers import KNNParams, NBParams, SVMParams, fit_model, params_from_dict
+from cadml.classifiers import KNNParams, NBParams, SVMParams, fit_model, params_from_dict, svm
+from cadml.classifiers.svm import smo
 from cadml.errors import AllCandidatesFailed, DataError, TrainingError
 from cadml.evaluation import (
     ConfusionMatrix,
@@ -190,25 +191,29 @@ def outcome(search, *args):
 
 
 EQUIVALENCE_GRIDS = {
-    **{name: ("7", grid) for name, grid in default_grids().items()},
-    "svm-two-sigmas": ("13", Grid("svm", (SVMParams(C=0.5, sigma=0.05), SVMParams(C=2.0, sigma=0.2),
-                                          SVMParams(C=1.0, sigma=0.05)))),
+    **{name: ("7", 10, grid) for name, grid in default_grids().items()},
+    "svm-two-sigmas": ("13", 10, Grid("svm", (SVMParams(C=0.5, sigma=0.05),
+                                              SVMParams(C=2.0, sigma=0.2),
+                                              SVMParams(C=1.0, sigma=0.05)))),
     # a training fold holds 267 or 268 rows, too few for k = 269
-    "knn-one-fails": ("7", Grid("knn", (KNNParams(k=3), KNNParams(k=269), KNNParams(k=7)))),
-    "knn-all-fail": ("7", Grid("knn", (KNNParams(k=269), KNNParams(k=301)))),
+    "knn-one-fails": ("7", 10, Grid("knn", (KNNParams(k=3), KNNParams(k=269), KNNParams(k=7)))),
+    "knn-all-fail": ("7", 10, Grid("knn", (KNNParams(k=269), KNNParams(k=301)))),
     # the second candidate's bandwidth overflows; the error names it
-    "nb-overflows": ("7", Grid("nb", (NBParams(), NBParams(True, 0.0, 1e-308)))),
+    "nb-overflows": ("7", 10, Grid("nb", (NBParams(), NBParams(True, 0.0, 1e-308)))),
     # C = 1e8 does not converge within 500 n steps on the first failing fold
     # (NotConverged), while the other two C of its sigma do; the three share
     # each fold group's lockstep solve
-    "svm-one-does-not-converge": ("7", Grid("svm", (SVMParams(C=0.25), SVMParams(C=1e8),
-                                                   SVMParams(C=1.0)))),
+    "svm-one-does-not-converge": ("7", 10, Grid("svm", (SVMParams(C=0.25), SVMParams(C=1e8),
+                                                       SVMParams(C=1.0)))),
     # sigma = 1e308 overflows the Gram matrix; its group's lockstep solve
     # gives way to one fit per problem, whose error names the first candidate
     # of that sigma
-    "svm-one-sigma-overflows": ("7", Grid("svm", (
+    "svm-one-sigma-overflows": ("7", 10, Grid("svm", (
         SVMParams(C=0.5), SVMParams(C=0.5, sigma=1e308), SVMParams(C=1.0, sigma=1e308),
         SVMParams(C=1.0)))),
+    # 11 folds of 270 training rows go in groups of 5, 5 and 1; the last
+    # group's one problem is solved alone by its fit
+    "svm-11-folds": ("7", 11, Grid("svm", (SVMParams(),))),
 }
 
 
@@ -242,11 +247,11 @@ def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleve
                                                    monkeypatch):
     """The fold-major search gives the candidate-major one's report, final
     model and errors, byte for byte, and cross_validate each candidate's CV."""
-    width, grid = EQUIVALENCE_GRIDS[name]
+    width, k, grid = EQUIVALENCE_GRIDS[name]
     ds = {"7": cleveland7, "13": cleveland}[width]
-    got, fit_errors = recorded_fit_errors(monkeypatch, grid_search, ds, grid, 10, seed)
+    got, fit_errors = recorded_fit_errors(monkeypatch, grid_search, ds, grid, k, seed)
     want, oracle_fit_errors = recorded_fit_errors(monkeypatch, candidate_major_search,
-                                                  ds, grid, 10, seed)
+                                                  ds, grid, k, seed)
     assert got == want
     if name == "knn-one-fails":
         report = json.loads(got[0])
@@ -265,9 +270,15 @@ def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleve
         assert len(fit_errors) == 1 and "did not converge in" in fit_errors[0]
     elif name == "svm-one-sigma-overflows":
         assert got[0] == "DataError" and "'C': 0.5, 'sigma': 1e+308" in got[1]
+    elif name == "svm-11-folds":
+        # smo runs for the last fold group's one problem and the refit only
+        calls = []
+        monkeypatch.setattr(svm, "smo", lambda *a: calls.append(a) or smo(*a))
+        grid_search(ds, grid, k, seed)
+        assert [len(y) for _, y, _ in calls] == [270, 297]
     elif name in default_grids():
-        folds = stratified_folds(ds.y, 10, seed)
+        folds = stratified_folds(ds.y, k, seed)
         scaling = default_scaling(grid.algorithm)
         for params in grid.candidates:
-            assert (cross_validate(ds, params, 10, seed, scaling=scaling).to_dict()
+            assert (cross_validate(ds, params, k, seed, scaling=scaling).to_dict()
                     == per_fold_cross_validate(ds, params, folds, scaling).to_dict())
