@@ -5,7 +5,8 @@ discretization, discrete features by their codes) and absolute Pearson
 correlation against the 0/1 label. The discretization scores every candidate
 cut of a node at once from one running count per class, since the entropy of
 each side needs only its class counts, and the MDL test (Fayyad & Irani, IJCAI
-1993) reads its class numbers and entropies from the same counts. The
+1993) reads its class numbers and entropies from the same counts. The label
+entropy and each bin's come from one class-count table per feature. The
 wrapper is a greedy best-first search over feature subsets whose objective is
 the mean cross-validated accuracy of naive Bayes, stopping after a fixed
 number of consecutive non-improving expansions.
@@ -25,15 +26,6 @@ from .classifiers.naive_bayes import score_from_log_joint
 from .dataset import CONTINUOUS, Dataset
 from .errors import EmptyInput
 from .evaluation import stratified_folds
-
-
-def entropy(labels) -> float:
-    """Shannon entropy of the label multiset, in bits."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise EmptyInput("entropy of an empty multiset")
-    _, counts = np.unique(labels, return_counts=True)
-    return float(_entropies(counts[:, None])[0])
 
 
 def _entropies(counts):
@@ -88,21 +80,21 @@ def _mdl_recurse(values, labels) -> list[float]:
 
 
 def info_gain(values, labels, kind: str) -> float:
-    """H(labels) minus the conditional entropy given the feature's bins."""
+    """H(labels) minus the conditional entropy given the feature's bins, both
+    read from one count table: the class totals, then each bin's class counts."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     if values.size == 0:
         raise EmptyInput("information gain of an empty column")
-    if kind == CONTINUOUS:
-        cuts = discretize_mdl(values, labels)
-        bins = np.digitize(values, cuts) if cuts else np.zeros(len(values), dtype=np.int64)
-    else:
-        bins = values
-    base = entropy(labels)
+    bins = np.digitize(values, discretize_mdl(values, labels)) if kind == CONTINUOUS else values
+    classes, levels = np.unique(labels), np.unique(bins)
+    cells = np.searchsorted(classes, labels) * len(levels) + np.searchsorted(levels, bins)
+    table = np.bincount(cells, minlength=len(classes) * len(levels)).reshape(len(classes), -1)
+    counts = np.concatenate([table.sum(axis=1, keepdims=True), table], axis=1)
+    base, *bin_h = _entropies(counts).tolist()
     cond = 0.0
-    for b in np.unique(bins):
-        part = labels[bins == b]
-        cond += part.size / labels.size * entropy(part)
+    for size, h in zip(table.sum(axis=0).tolist(), bin_h):
+        cond += size / len(labels) * h
     return max(0.0, base - cond)
 
 
@@ -165,13 +157,13 @@ class SubsetSearchResult:
 
 @_overflow_is_data_error()
 def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 10,
-                      seed: int = 1, stale_limit: int | None = 5,
+                      seed: int = 1, stale_limit: int = 5,
                       min_improvement: float = 0.005) -> SubsetSearchResult:
     """Greedy best-first search from the empty set, expanding by single-feature
     addition and deletion; objective is the mean k-fold CV accuracy of naive
     Bayes with the wrapped params on the subset. The fold assignment is
-    computed once so every subset is scored on identical splits.
-    stale_limit=None searches until the open list is exhausted.
+    computed once so every subset is scored on identical splits, and the
+    search stops after stale_limit expansions in a row find no better subset.
 
     The objective does not refit per subset. Every per-feature statistic,
     the variance floor included, depends only on its own column, and the
@@ -195,7 +187,7 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
     """
     if not isinstance(wrapped, NBParams):
         raise ValueError(f"the wrapper scores naive Bayes only, not {wrapped.algorithm!r}")
-    if stale_limit is not None and stale_limit < 1:
+    if stale_limit < 1:
         raise ValueError("stale_limit must be >= 1")
     names = ds.feature_names
     assignment = stratified_folds(ds.y, folds, seed)
@@ -243,7 +235,7 @@ def best_first_subset(ds: Dataset, wrapped: NBParams = NBParams(), folds: int = 
                 best_subset, best_score = child, score
                 improved = True
         stale = 0 if improved else stale + 1
-        if stale_limit is not None and stale >= stale_limit:
+        if stale >= stale_limit:
             break
     selected = tuple(n for n in names if n in best_subset)
     return SubsetSearchResult(selected=selected, objective=best_score, expansions=expansions)

@@ -354,6 +354,31 @@ def test_knn_outputs_pinned(tmp_path):
             for name, p in paths.items()} == KNN_PINNED_SHA256
 
 
+# sha256 of `pipeline --format json`, the rankings, wrapper subset, cv and
+# compare reports in one file, at the defaults and at 5 folds, seed 3, subset
+# seed 2 and stale limit 2, recorded before information gain counted each
+# feature's bins in one class-count table. The compare report holds SVM
+# numbers, so the BLAS caveat of PINNED_SHA256 holds here too.
+PIPELINE_PINNED_SHA256 = {
+    "defaults": "82e7981a4e943051a099e30f84d848a9a3e0e0cb1cf098aca4e5e36419655e9e",
+    "seed-3": "9f39d4ce399f8221877dc9c1bc7ca67812b09226c0a3b1db3920ede160af71a5",
+}
+PIPELINE_PINNED_ARGS = {
+    "defaults": [],
+    "seed-3": ["--folds", "5", "--seed", "3", "--subset-seed", "2", "--stale-limit", "2"],
+}
+
+
+def test_pipeline_outputs_pinned(tmp_path):
+    """Feature selection may be computed another way, but these bytes may not change."""
+    paths = {name: tmp_path / f"{name}.json" for name in PIPELINE_PINNED_SHA256}
+    for name, args in PIPELINE_PINNED_ARGS.items():
+        _run_cli(["pipeline", "--data", DATA_PATH, *args, "--format", "json",
+                  "--out", str(paths[name])])
+    assert {name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in paths.items()} == PIPELINE_PINNED_SHA256
+
+
 def test_data_pipeline_accounting(cleveland):
     """303 parsed, 6 dropped, 297 kept, 160/137 class balance — verified
     against a direct count over the raw file."""
