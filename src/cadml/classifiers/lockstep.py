@@ -1,7 +1,8 @@
 """smo's steps for a batch of SVM problems at once, bit for bit. A grid
-search hands each group of training folds to solve_group, which solves every
-(fold, C) problem of a sigma in one batch, and the C values share each
-fold's kernel (the kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011)."""
+search hands solve_group as many training folds as its Gram stack budget
+holds (all ten of the Cleveland table's), which solves every (fold, C)
+problem of a sigma in one batch, and the C values share each fold's kernel
+(the kernel reuse of LIBSVM; Chang & Lin, ACM TIST 2, 2011)."""
 import math
 import mmap
 

@@ -7,11 +7,11 @@ previous class left off, so fold sizes and per-class counts stay balanced and
 identical inputs and seed always give the identical partition.
 
 Cross-validation is fold-major: folds go in groups of as many as fit a
-3 MB zero-padded Gram stack (5 on the 297-row Cleveland table; a smaller
-table batches more), each training fold is z-scored once, the group's SVM
-problems are solved by lockstep.solve_group in one Gram workspace per
-search, and every candidate is fitted on the group's folds before the next
-group; cross_validate is its one-candidate case.
+6 MB zero-padded Gram stack (all 10 on the 297-row Cleveland table; 10 and
+1 at 11 folds; a larger table splits more), each training fold is z-scored
+once, the group's SVM problems are solved by lockstep.solve_group in one
+Gram workspace per search, and every candidate is fitted on the group's
+folds before the next group; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
@@ -25,9 +25,11 @@ from .classifiers.lockstep import gram_workspace, solve_group
 from .dataset import Dataset
 from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
 
-# a fold group's zero-padded Gram stack holds at most this many bytes: 5
-# folds of 268 rows; all 10 in one group ran faster but held 5 MB more
-_GRAM_STACK_BYTES = 3 << 20
+# a fold group's zero-padded Gram stack holds at most this many bytes: all
+# 10 folds of 268 rows (5.75 MB), one lockstep batch per sigma, in which a
+# default SVM grid search takes about 15 % less time than in two groups of
+# 5 (3 MB) and peaks about 3.5 MB higher (2-core host)
+_GRAM_STACK_BYTES = 6 << 20
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,9 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
     pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
     failed = {}
     n_train = len(ds.y) - int(np.bincount(folds.fold_of_row).min())
-    group = max(1, _GRAM_STACK_BYTES // (8 * n_train * n_train))
+    # no more slots than folds, as the workspace is mapped and pre-faulted
+    # at this size
+    group = min(folds.k, max(1, _GRAM_STACK_BYTES // (8 * n_train * n_train)))
     # mapped at the first lockstep solve, so a search with none maps nothing
     workspace = functools.cache(lambda: gram_workspace(8 * group * n_train * n_train))
     for start in range(0, folds.k, group):

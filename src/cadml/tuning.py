@@ -4,9 +4,10 @@ All candidates within one search share a single fold assignment so they are
 compared on identical splits; selection goes to the highest mean CV accuracy
 with ties broken by grid declaration order. The loop is fold-major
 (evaluation.cross_validate_candidates): each training fold is z-scored once,
-the SVM problems of a group of folds that share a sigma are solved in
-lockstep on one stack of Gram matrices, and every candidate is fitted on
-them; the matrices are released before the winner is refit on all rows.
+the SVM problems of a group of folds (all ten on the Cleveland table) that
+share a sigma are solved in lockstep on one stack of Gram matrices, and
+every candidate is fitted on them; the matrices are released before the
+winner is refit on all rows.
 """
 from __future__ import annotations
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml import classifiers
+from cadml import classifiers, evaluation
 from cadml.classifiers import KNNParams, NBParams, SVMParams, svm_fit
 from cadml.errors import EmptyMatrix, LengthMismatch, TooFewPerClass
 from cadml.evaluation import (
@@ -13,6 +13,7 @@ from cadml.evaluation import (
     metrics,
     stratified_folds,
 )
+from cadml.tuning import default_grids, grid_search
 
 from conftest import make_dataset
 
@@ -145,10 +146,10 @@ def test_cross_validate_deterministic(tiny_separable):
 
 @pytest.mark.parametrize("width", ["7", "13"])
 def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, cleveland7, monkeypatch):
-    """A search maps one Gram workspace, and each fold group and sigma
-    overwrites the matrices the one before left in it. With two sigmas x two
-    C, every fold model still equals svm_fit's own solve by smo, and every
-    candidate's CV equals its CV alone."""
+    """A search maps one Gram workspace, and each sigma overwrites the
+    matrices the one before left in it. With two sigmas x two C, every fold
+    model still equals svm_fit's own solve by smo, and every candidate's CV
+    equals its CV alone."""
     view = {"7": cleveland7, "13": cleveland}[width]
     grid = [SVMParams(C=C, sigma=sigma) for sigma in (0.1268408, 0.05) for C in (0.25, 1.0)]
     fits = []
@@ -172,3 +173,48 @@ def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, clevelan
     for params, result in zip(grid, results):
         alone = cross_validate(view, params, 10, 2018, scaling=True)
         assert result.to_dict() == alone.to_dict()
+
+
+@pytest.mark.parametrize("case", ["grid-7", "grid-13", "cv-11", "cv-3"])
+def test_cleveland_folds_go_in_one_lockstep_batch(case, cleveland, cleveland7, monkeypatch):
+    """The ten training folds of the Cleveland table fit one Gram stack, so
+    the default SVM grid search hands all ten to one solve_group call, on
+    the 7-feature view and on all 13 features, and every fold fit takes its
+    solve from it. An 11-fold cv splits 10 and 1, and the eleventh fold's
+    lone problem is solved by its fit. The workspace holds one stack of as
+    many folds as a group takes, and no more than there are: 3 at 3 folds."""
+    groups, solved_by_fit, mapped = [], [], []
+    solve, fit, workspace = evaluation.solve_group, classifiers.svm_fit, evaluation.gram_workspace
+
+    def recording_solve(sets, *args):
+        groups.append(len(sets))
+        return solve(sets, *args)
+
+    def recording_fit(ds, params, solved=None):
+        solved_by_fit.append(solved is None)
+        return fit(ds, params, solved)
+
+    def recording_workspace(nbytes):
+        mapped.append(nbytes)
+        return workspace(nbytes)
+
+    monkeypatch.setattr(evaluation, "solve_group", recording_solve)
+    monkeypatch.setattr(classifiers, "svm_fit", recording_fit)
+    monkeypatch.setattr(evaluation, "gram_workspace", recording_workspace)
+    if case == "cv-11":
+        cross_validate(cleveland7, SVMParams(), 11, 2018, scaling=True)
+        assert groups == [10, 1]
+        assert solved_by_fit == [False] * 10 + [True]
+        assert mapped == [8 * 10 * 270 * 270]
+    elif case == "cv-3":
+        cross_validate(cleveland7, SVMParams(), 3, 2018, scaling=True)
+        assert groups == [3]
+        assert solved_by_fit == [False] * 3
+        assert mapped == [8 * 3 * 198 * 198]
+    else:
+        view = {"7": cleveland7, "13": cleveland}[case.split("-")[1]]
+        grid_search(view, default_grids()["svm"], 10, 2018)
+        assert groups == [10]
+        # the 30 fold fits, then the winner's refit on all rows
+        assert solved_by_fit == [False] * 30 + [True]
+        assert mapped == [8 * 10 * 268 * 268]

@@ -398,22 +398,27 @@ def all_ones_instance(n, C):
 
 @pytest.mark.parametrize("case", ["grid-7-2018", "grid-7-1", "grid-13-2018", "grid-13-1"])
 def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
-    """The default grid's 30 fold problems, solved in lockstep in the grid
-    search's two groups of 5 folds x 3 C, padded to 268 rows where a fold
-    has 267, give smo's solve of each, bit for bit, on the same Gram matrix,
-    dual objective included; the two groups share one workspace."""
+    """The default grid's 30 fold problems, solved in lockstep as the grid
+    search's one batch of 10 folds x 3 C and as two groups of 5 folds x 3 C
+    (a table whose folds exceed the Gram budget still splits), padded to
+    268 rows where a fold has 267, give smo's solve of each, bit for bit, on
+    the same Gram matrix, dual objective included; the three batches share
+    one workspace."""
     width, seed = case.split("-")[1:]
     sets = fold_sets({"7": cleveland7, "13": cleveland}[width], int(seed))
     assert {len(ds.y) for ds in sets} == {267, 268}
     grid = tuning.default_grids()["svm"].candidates
-    workspace = gram_workspace(8 * 5 * 268 * 268)
-    for group in (sets[:5], sets[5:]):
+    want = []
+    for ds in sets:
+        K = rbf_gram(ds.X, ds.X, grid[0].sigma)
+        want.append([smo(K, signs(ds), p.C) for p in grid])
+    workspace = gram_workspace(8 * 10 * 268 * 268)
+    for start, group in ((0, sets[:5]), (5, sets[5:]), (0, sets)):
         solved = solve_group(group, grid, range(len(grid)), lambda: workspace)
-        assert len(solved) == 15
-        for s, ds in enumerate(group):
-            K = rbf_gram(ds.X, ds.X, grid[0].sigma)
-            for c, p in enumerate(grid):
-                assert_same_solve(solved[s, c], smo(K, signs(ds), p.C))
+        assert len(solved) == 3 * len(group)
+        for s in range(len(group)):
+            for c in range(len(grid)):
+                assert_same_solve(solved[s, c], want[start + s][c])
 
 
 def test_solve_group_leaves_three_kinds_of_problem_to_their_fits(cleveland7):

@@ -211,7 +211,7 @@ EQUIVALENCE_GRIDS = {
     "svm-one-sigma-overflows": ("7", 10, Grid("svm", (
         SVMParams(C=0.5), SVMParams(C=0.5, sigma=1e308), SVMParams(C=1.0, sigma=1e308),
         SVMParams(C=1.0)))),
-    # 11 folds of 270 training rows go in groups of 5, 5 and 1; the last
+    # 11 folds of 270 training rows go in groups of 10 and 1; the last
     # group's one problem is solved alone by its fit
     "svm-11-folds": ("7", 11, Grid("svm", (SVMParams(),))),
 }
