@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ..dataset import Dataset, FeatureSchema, Standardization, standardize
-from ..errors import DataError, LengthMismatch
-from .knn import KNNModel, knn_fit
+from ..errors import CadmlError, DataError, LengthMismatch
+from .knn import KNNModel, knn_fit, vote
 from .naive_bayes import NBModel, nb_fit
 from .params import HyperParams, KNNParams, NBParams, SVMParams, _json_field, as_shaped
 from .svm import SVMModel, dual_objective, kkt_residuals, rbf_gram, svm_fit
@@ -49,6 +49,13 @@ def params_from_dict(d) -> HyperParams:
     return ALGORITHMS[d["algorithm"]].params.from_dict(d)
 
 
+def _overflow_error(params: HyperParams | None, exc: FloatingPointError) -> DataError:
+    if params is None:
+        return DataError(f"a feature value is too large ({exc})")
+    return DataError(f"a feature value or hyperparameter is too large: the "
+                     f"{params.algorithm} model with {params.to_dict()} overflowed ({exc})")
+
+
 @contextmanager
 def _overflow_is_data_error(params: HyperParams | None = None):
     """A feature value so large that numpy overflows on it (1e200 squared) is
@@ -59,11 +66,7 @@ def _overflow_is_data_error(params: HyperParams | None = None):
         with np.errstate(over="raise"):
             yield
     except FloatingPointError as exc:
-        if params is None:
-            raise DataError(f"a feature value is too large ({exc})") from None
-        raise DataError(f"a feature value or hyperparameter is too large: the "
-                        f"{params.algorithm} model with {params.to_dict()} overflowed "
-                        f"({exc})") from None
+        raise _overflow_error(params, exc) from None
 
 
 class FittedModel:
@@ -158,6 +161,32 @@ class TrainingSet:
             extra = {} if solved is None else {"solved": solved}
             return FittedModel(model=fit(self.rows, params, **extra), schema=self.schema,
                                scaling=self.stats)
+
+    def predict_batches(self, fits, X) -> list:
+        """predict_batch(X) of each of fits, models fitted on these rows, or
+        the CadmlError it raises. The k-NN models rank X once, at their
+        largest k, and each votes over its first k neighbours, which gives
+        its own predict_batch's labels and errors bit for bit."""
+        knn = [f for f in fits if isinstance(f.model, KNNModel)]
+        shared = {}
+        if knn:
+            top = max(knn, key=lambda f: f.model.params.k)
+            try:
+                with np.errstate(over="raise"):
+                    ranked = top.model.neighbour_labels(top._transform(X))
+                shared = {f: (vote(ranked[:, :f.model.params.k]) > 0).astype(np.int64)
+                          for f in knn}
+            except FloatingPointError as exc:
+                shared = {f: _overflow_error(f.model.params, exc) for f in knn}
+            except CadmlError as exc:
+                shared = dict.fromkeys(knn, exc)
+        out = []
+        for f in fits:
+            try:
+                out.append(shared[f] if f in shared else f.predict_batch(X))
+            except CadmlError as exc:
+                out.append(exc)
+        return out
 
 
 def fit_model(ds: Dataset, params: HyperParams, scaling: bool = False) -> FittedModel:

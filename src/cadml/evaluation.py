@@ -11,7 +11,10 @@ Cross-validation is fold-major: folds go in groups of as many as fit a
 1 at 11 folds; a larger table splits more), each training fold is z-scored
 once, the group's SVM problems are solved by lockstep.solve_group in one
 Gram workspace per search, and every candidate is fitted on the group's
-folds before the next group; cross_validate is its one-candidate case.
+folds before the next group; cross_validate is its one-candidate case. The
+candidates fitted on a fold label its held-out rows together
+(TrainingSet.predict_batches), so a k-NN grid ranks them once, at its
+largest k that fitted.
 """
 from __future__ import annotations
 
@@ -155,7 +158,8 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
 
     Folds go in groups whose zero-padded Gram stack fits _GRAM_STACK_BYTES;
     a group's SVM problems are solved together (lockstep.solve_group) before
-    its models are built fold by fold."""
+    its models are built fold by fold. A fold's fitted candidates label its
+    held-out rows in one TrainingSet.predict_batches call."""
     per_fold = [[] for _ in candidates]
     pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
     failed = {}
@@ -180,13 +184,17 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
         for s, train in enumerate(trains):
             test_idx = folds.test_indices(start + s)
             X_test, y_test = ds.X[test_idx], ds.y[test_idx]
+            fits = {}
             for c in live:
                 if c in failed:
                     continue
                 try:
-                    predicted = train.fit(candidates[c], solved.get((s, c))).predict_batch(X_test)
+                    fits[c] = train.fit(candidates[c], solved.get((s, c)))
                 except CadmlError as exc:
                     failed[c] = exc.with_traceback(None)
+            for c, predicted in zip(fits, train.predict_batches(list(fits.values()), X_test)):
+                if isinstance(predicted, CadmlError):
+                    failed[c] = predicted.with_traceback(None)
                     continue
                 cm = confusion(predicted, y_test)
                 per_fold[c].append(metrics(cm))

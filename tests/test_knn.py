@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cadml.classifiers import KNNParams, knn_fit
-from cadml.classifiers.knn import _CHUNK_ROWS, KNNModel
+from cadml.classifiers.knn import _CHUNK_ROWS, KNNModel, vote
 from cadml.errors import TooFewRows
+from cadml.tuning import default_grids, grid_search
 
 from conftest import continuous_schema, labels, make_dataset
 
@@ -46,10 +47,25 @@ def test_argmin_selection_matches_stable_argsort(queries):
             X, Q = rng.normal(size=(30, width)) * 1e154, rng.normal(size=(n, width)) * 1e155
             Q[::3] = 1e200
         y = rng.integers(0, 2, 30)
-        for k in (1, 3, 5, 7, 9, 15):
-            model = KNNModel(X, y, k)
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):
+            for k in (1, 3, 5, 7, 9, 15):
+                model = KNNModel(X, y, k)
                 assert np.array_equal(model.score_batch(Q), argsort_score(model, Q))
+            # one ranking at k = 15 serves every smaller odd k, as in a grid search
+            ranked = KNNModel(X, y, 15).neighbour_labels(Q)
+            for j in range(1, 16, 2):
+                assert np.array_equal(vote(ranked[:, :j]), argsort_score(KNNModel(X, y, j), Q))
+
+
+def test_grid_search_ranks_each_fold_once(monkeypatch, cleveland7):
+    """The default k-NN grid (k = 5, 7, 9) ranks each of the 10 folds'
+    held-out rows once, not once per candidate, and the refit ranks none."""
+    calls, rank = [], KNNModel.neighbour_labels
+    monkeypatch.setattr(KNNModel, "neighbour_labels",
+                        lambda self, X: calls.append((self.params.k, len(X))) or rank(self, X))
+    grid_search(cleveland7, default_grids()["knn"], 10, 2018)
+    assert [k for k, _ in calls] == [9] * 10
+    assert sum(n for _, n in calls) == len(cleveland7.y)
 
 
 def test_simple_majority():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cadml import classifiers
 from cadml.classifiers import KNNParams, NBParams, SVMParams, fit_model, params_from_dict, svm
 from cadml.classifiers.svm import smo
+from cadml.dataset import SELECTED_FEATURES, load_dataset, select_columns
 from cadml.errors import AllCandidatesFailed, DataError, TrainingError
 from cadml.evaluation import (
     ConfusionMatrix,
@@ -26,7 +28,7 @@ from cadml.tuning import (
     grid_search,
 )
 
-from conftest import make_dataset
+from conftest import DATA_PATH, make_dataset
 
 
 def test_default_grids_contents():
@@ -198,6 +200,14 @@ EQUIVALENCE_GRIDS = {
     # a training fold holds 267 or 268 rows, too few for k = 269
     "knn-one-fails": ("7", 10, Grid("knn", (KNNParams(k=3), KNNParams(k=269), KNNParams(k=7)))),
     "knn-all-fail": ("7", 10, Grid("knn", (KNNParams(k=269), KNNParams(k=301)))),
+    # each fold's held-out rows are ranked once, at the largest k, whatever
+    # the candidates' order, and a repeated k votes as its first copy
+    "knn-unsorted-repeated": ("7", 10, Grid("knn", (KNNParams(k=9), KNNParams(k=3),
+                                                   KNNParams(k=9), KNNParams(k=1)))),
+    # the first of 4 training folds holds 222 rows (the others 223), too few
+    # for k = 223, which is dropped there; every fold is ranked at k = 7
+    "knn-fails-on-some-folds": ("7", 4, Grid("knn", (KNNParams(k=5), KNNParams(k=223),
+                                                    KNNParams(k=7)))),
     # the second candidate's bandwidth overflows; the error names it
     "nb-overflows": ("7", 10, Grid("nb", (NBParams(), NBParams(True, 0.0, 1e-308)))),
     # C = 1e8 does not converge within 500 n steps on the first failing fold
@@ -260,6 +270,11 @@ def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleve
         assert got == ("AllCandidatesFailed", "every candidate failed: ["
                        "(KNNParams(k=269), TooFewRows('k=269 exceeds 267 exemplars')), "
                        "(KNNParams(k=301), TooFewRows('k=301 exceeds 267 exemplars'))]")
+    elif name == "knn-fails-on-some-folds":
+        report = json.loads(got[0])
+        assert [c["params"]["k"] for c in report["candidates"]] == [5, 7]
+        if seed == 2018:  # as `cadml tune --folds 4` reports on this grid
+            assert report["best"]["k"] == 5 and round(report["cv"]["mean_accuracy"], 4) == 0.8385
     elif name == "nb-overflows":
         assert got[0] == "DataError" and "'bandwidth_adjust': 1e-308" in got[1]
     elif name == "svm-one-does-not-converge":
@@ -282,3 +297,21 @@ def test_grid_search_matches_candidate_major_oracle(name, seed, cleveland, cleve
         for params in grid.candidates:
             assert (cross_validate(ds, params, k, seed, scaling=scaling).to_dict()
                     == per_fold_cross_validate(ds, params, folds, scaling).to_dict())
+
+
+def test_knn_grid_overflow_names_each_candidate(tmp_path):
+    """Unscaled, MaxHeart = 1e200 on line 5 overflows every k-NN distance
+    to that row; the shared ranking leaves the first candidate the error its
+    own cross_validate raises, naming its k."""
+    rows = Path(DATA_PATH).read_text().splitlines()
+    rows[4] = ",".join("1e200" if c == 7 else v for c, v in enumerate(rows[4].split(",")))
+    huge = tmp_path / "huge.data"
+    huge.write_text("\n".join(rows) + "\n")
+    view = select_columns(load_dataset(huge), SELECTED_FEATURES)
+    with pytest.raises(DataError) as want:
+        cross_validate(view, KNNParams(k=5), 10, 2018, scaling=False)
+    with pytest.raises(DataError) as got:
+        grid_search(view, default_grids()["knn"], 10, 2018, scaling=False)
+    assert str(got.value) == str(want.value) == (
+        "a feature value or hyperparameter is too large: the knn model with "
+        "{'algorithm': 'knn', 'k': 5} overflowed (overflow encountered in square)")
