@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,11 @@ ALGORITHMS = {
 
 
 def params_from_dict(d) -> HyperParams:
-    return ALGORITHMS[d["algorithm"]].params.from_dict(d)
+    """The record d, which holds "algorithm" and the record's fields only."""
+    params = ALGORITHMS[d["algorithm"]].params
+    if extra := set(d) - {"algorithm", *(f.name for f in fields(params))}:
+        raise ValueError(f"{params.algorithm} record has no field {min(extra)!r}")
+    return params.from_dict(d)
 
 
 def _overflow_error(params: HyperParams | None, exc: FloatingPointError) -> DataError:
@@ -153,7 +157,7 @@ class TrainingSet:
 
     def fit(self, params: HyperParams, solved=None) -> FittedModel:
         """solved, for an SVM, is the SMOResult of its problem already solved
-        on these rows (lockstep.solve_group); without it the fit solves its own."""
+        on these rows (lockstep.solve_folds); without it the fit solves its own."""
         # looked up per call, not stored in ALGORITHMS, so that instrumentation
         # that replaces these module attributes (perfbench/spans.py) sees the fits
         fit = {"nb": nb_fit, "knn": knn_fit, "svm": svm_fit}[params.algorithm]

@@ -14,7 +14,7 @@ stopping test, and the centre of the interval it spans is the bias. The
 curvature of every pair, K_ii + K_jj - 2 K_ij, is one n x n matrix built
 when the solve starts, so a step reads its row instead of forming it.
 
-A grid search solves its fold problems in batches (lockstep.solve_group);
+A grid search solves its fold problems in batches (lockstep.solve_folds);
 svm_fit takes the SMOResult of one, or solves its own with smo.
 """
 from __future__ import annotations
@@ -154,14 +154,15 @@ def smo(K, y, C: float, tol: float = _TOL, max_iter: int | None = None) -> SMORe
 
 
 class SVMModel:
+    converged = True  # svm_fit raises NotConverged, and from_dict rejects false
+
     def __init__(self, support_vectors, dual_coef, bias, params: SVMParams,
-                 dual_objective_value, converged=True, objective_trace=None):
+                 dual_objective_value, objective_trace=None):
         self.support_vectors = np.asarray(support_vectors, dtype=np.float64)
         self.dual_coef = np.asarray(dual_coef, dtype=np.float64)  # alpha_i * y_i
         self.bias = float(bias)
         self.params = params
         self.dual_objective = float(dual_objective_value)
-        self.converged = bool(converged)
         self.objective_trace = objective_trace or []
 
     def score_batch(self, X) -> np.ndarray:
@@ -184,6 +185,8 @@ class SVMModel:
 
     @classmethod
     def from_dict(cls, d, schema):
+        if not _json_field(d["converged"], bool, "converged"):
+            raise ValueError("converged is false: no fit saves an unconverged SVM")
         dual_coef = as_shaped(d["dual_coef"], (len(d["dual_coef"]),), "dual_coef")
         return cls(
             support_vectors=as_shaped(d["support_vectors"], (len(dual_coef), len(schema)),
@@ -192,13 +195,12 @@ class SVMModel:
             bias=as_shaped(d["bias"], (), "bias"),
             params=SVMParams.from_dict(d["params"]),
             dual_objective_value=_json_field(d["dual_objective"], float, "dual_objective"),
-            converged=_json_field(d["converged"], bool, "converged"),
         )
 
 
 def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMModel:
     """Fit on ds; solved, when given, is the SMOResult of ds at params from
-    lockstep.solve_group, and otherwise smo solves it here. A solve that
+    lockstep.solve_folds, and otherwise smo solves it here. A solve that
     reaches smo's step cap raises NotConverged."""
     neg, pos = ds.class_counts()
     if neg == 0 or pos == 0:
@@ -215,6 +217,5 @@ def svm_fit(ds: Dataset, params: SVMParams = SVMParams(), solved=None) -> SVMMod
         bias=solved.bias,
         params=params,
         dual_objective_value=solved.dual_objective,
-        converged=solved.converged,
         objective_trace=solved.objective_trace,
     )

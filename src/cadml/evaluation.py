@@ -6,33 +6,22 @@ seed plus the class label, then deals rows round-robin starting where the
 previous class left off, so fold sizes and per-class counts stay balanced and
 identical inputs and seed always give the identical partition.
 
-Cross-validation is fold-major: folds go in groups of as many as fit a
-6 MB zero-padded Gram stack (all 10 on the 297-row Cleveland table; 10 and
-1 at 11 folds; a larger table splits more), each training fold is z-scored
-once, the group's SVM problems are solved by lockstep.solve_group in one
-Gram workspace per search, and every candidate is fitted on the group's
-folds before the next group; cross_validate is its one-candidate case. The
-candidates fitted on a fold label its held-out rows together
-(TrainingSet.predict_batches), so a k-NN grid ranks them once, at its
-largest k that fitted.
+Cross-validation makes one pass over the folds: each training fold is
+z-scored once, lockstep.solve_folds solves every fold's SVM problems, and
+then each fold's candidates are fitted and label its held-out rows
+together (TrainingSet.predict_batches), so a k-NN grid ranks them once, at
+its largest k that fitted; cross_validate is its one-candidate case.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import HyperParams, TrainingSet
-from .classifiers.lockstep import gram_workspace, solve_group
+from .classifiers.lockstep import solve_folds
 from .dataset import Dataset
 from .errors import CadmlError, EmptyMatrix, LengthMismatch, TooFewPerClass
-
-# a fold group's zero-padded Gram stack holds at most this many bytes: all
-# 10 folds of 268 rows (5.75 MB), one lockstep batch per sigma, in which a
-# default SVM grid search takes about 15 % less time than in two groups of
-# 5 (3 MB) and peaks about 3.5 MB higher (2-core host)
-_GRAM_STACK_BYTES = 6 << 20
 
 
 @dataclass(frozen=True)
@@ -156,53 +145,40 @@ def cross_validate_candidates(ds: Dataset, candidates, folds: FoldAssignment,
     error is kept without its traceback, whose frames would hold the fold's
     Gram matrices.
 
-    Folds go in groups whose zero-padded Gram stack fits _GRAM_STACK_BYTES;
-    a group's SVM problems are solved together (lockstep.solve_group) before
-    its models are built fold by fold. A fold's fitted candidates label its
-    held-out rows in one TrainingSet.predict_batches call."""
+    The training folds are built up to the first that fails, and one
+    lockstep.solve_folds call solves their SVM problems; then each fold's
+    candidates are fitted and label its held-out rows together."""
+    trains, error = [], None
+    for f in range(folds.k):
+        try:
+            trains.append(TrainingSet(ds.subset_rows(folds.train_indices(f)), scaling))
+        except CadmlError as exc:
+            error = exc.with_traceback(None)
+            break
+    solved = solve_folds([t.rows for t in trains], candidates)
     per_fold = [[] for _ in candidates]
     pooled = [ConfusionMatrix(0, 0, 0, 0)] * len(candidates)
     failed = {}
-    n_train = len(ds.y) - int(np.bincount(folds.fold_of_row).min())
-    # no more slots than folds, as the workspace is mapped and pre-faulted
-    # at this size
-    group = min(folds.k, max(1, _GRAM_STACK_BYTES // (8 * n_train * n_train)))
-    # mapped at the first lockstep solve, so a search with none maps nothing
-    workspace = functools.cache(lambda: gram_workspace(8 * group * n_train * n_train))
-    for start in range(0, folds.k, group):
-        live = [c for c in range(len(candidates)) if c not in failed]
-        if not live:
-            break
-        trains, error = [], None
-        for f in range(start, min(start + group, folds.k)):
+    for f, train in enumerate(trains):
+        test_idx = folds.test_indices(f)
+        X_test, y_test = ds.X[test_idx], ds.y[test_idx]
+        fits = {}
+        for c, params in enumerate(candidates):
+            if c in failed:
+                continue
             try:
-                trains.append(TrainingSet(ds.subset_rows(folds.train_indices(f)), scaling))
+                fits[c] = train.fit(params, solved.get((f, c)))
             except CadmlError as exc:
-                error = exc.with_traceback(None)
-                break
-        solved = solve_group([t.rows for t in trains], candidates, live, workspace)
-        for s, train in enumerate(trains):
-            test_idx = folds.test_indices(start + s)
-            X_test, y_test = ds.X[test_idx], ds.y[test_idx]
-            fits = {}
-            for c in live:
-                if c in failed:
-                    continue
-                try:
-                    fits[c] = train.fit(candidates[c], solved.get((s, c)))
-                except CadmlError as exc:
-                    failed[c] = exc.with_traceback(None)
-            for c, predicted in zip(fits, train.predict_batches(list(fits.values()), X_test)):
-                if isinstance(predicted, CadmlError):
-                    failed[c] = predicted.with_traceback(None)
-                    continue
-                cm = confusion(predicted, y_test)
-                per_fold[c].append(metrics(cm))
-                pooled[c] = pooled[c] + cm
-        del solved  # the group's solutions go before the next group's are made
-        if error is not None:
-            failed.update(dict.fromkeys([c for c in live if c not in failed], error))
-            break
+                failed[c] = exc.with_traceback(None)
+        for c, predicted in zip(fits, train.predict_batches(list(fits.values()), X_test)):
+            if isinstance(predicted, CadmlError):
+                failed[c] = predicted.with_traceback(None)
+                continue
+            cm = confusion(predicted, y_test)
+            per_fold[c].append(metrics(cm))
+            pooled[c] = pooled[c] + cm
+    if error is not None:
+        failed = {c: failed.get(c, error) for c in range(len(candidates))}
     return [failed[c] if c in failed else
             CVResult(per_fold=tuple(per_fold[c]), pooled=metrics(pooled[c]),
                      mean_accuracy=float(np.mean([r.accuracy for r in per_fold[c]])),

@@ -2,12 +2,12 @@
 
 All candidates within one search share a single fold assignment so they are
 compared on identical splits; selection goes to the highest mean CV accuracy
-with ties broken by grid declaration order. The loop is fold-major
-(evaluation.cross_validate_candidates): each training fold is z-scored once,
-the SVM problems of a group of folds (all ten on the Cleveland table) that
-share a sigma are solved in lockstep on one stack of Gram matrices, and
-every candidate is fitted on them; the matrices are released before the
-winner is refit on all rows.
+with ties broken by grid declaration order. The CV makes one pass over the
+folds (evaluation.cross_validate_candidates): each training fold is z-scored
+once, lockstep.solve_folds solves every fold's SVM problems, those of a sigma
+in lockstep on one Gram stack per group of folds (one group of all ten on
+the Cleveland table), and each fold's candidates are then fitted; the
+matrices are released before the winner is refit on all rows.
 """
 from __future__ import annotations
 

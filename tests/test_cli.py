@@ -253,6 +253,7 @@ def set_gaussian(key, value):
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"]["params"].update(
         bandwidth_adjust=float("nan")))),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(converged="no"))),
+    (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(converged=False))),
     (GOOD_RECORD, "svm", edit_json(lambda d: d["model"].update(dual_objective=True))),
     (GOOD_RECORD, "knn", edit_json(lambda d: d["model"].update(version=2))),
     (GOOD_RECORD, "nb", edit_json(lambda d: d["model"].update(version="x"))),
@@ -282,7 +283,8 @@ def set_gaussian(key, value):
         "knn-k-999", "nb-prob-negative", "svm-bias-nan", "svm-sigma-inf",
         "svm-C-0", "svm-sigma-negative",
         "nb-kde-string", "knn-k-fraction", "nb-laplace-nan", "nb-bandwidth-nan",
-        "svm-converged-string", "svm-dual-objective-bool", "knn-version-2", "nb-version-string",
+        "svm-converged-string", "svm-not-converged", "svm-dual-objective-bool", "knn-version-2",
+        "nb-version-string",
         "format-true", "svm-bias-string", "svm-bias-huge-int", "knn-exemplar-string",
         "knn-exemplar-bools", "knn-labels-bools", "nb-values-nested", "nb-values-string",
         "nb-values-strings", "nb-values-bools", "nb-values-null", "nb-values-nulls", "allowed-values-strings",
@@ -459,11 +461,15 @@ def test_grid_nested_too_deep_is_usage_error(capsys):
      "bandwidth_adjust": float("nan")},
     {"algorithm": "svm", "C": 0, "sigma": 1},
     {"algorithm": "svm", "C": 1, "sigma": -0.5},
+    {"algorithm": "svm", "C": 1, "sigma": 0.1, "gamma": 0.5},
 ], ids=["kde-string", "k-fraction", "k-bool", "laplace-nan", "bandwidth-nan", "svm-C-0",
-        "svm-sigma-negative"])
+        "svm-sigma-negative", "svm-unknown-key"])
 def test_tune_grid_takes_only_json_typed_values(capsys, record):
     assert run_cli(["tune", "--data", DATA_PATH, "--grid", json.dumps([record])]) == 1
-    assert "--grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--grid" in err
+    if "gamma" in record:  # a key that is no field of the record is named
+        assert "gamma" in err
 
 
 @pytest.mark.parametrize("command", ["rank", "cv", "tune", "compare"])

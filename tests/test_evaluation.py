@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cadml import classifiers, evaluation
-from cadml.classifiers import KNNParams, NBParams, SVMParams, svm_fit
-from cadml.errors import EmptyMatrix, LengthMismatch, TooFewPerClass
+from cadml import classifiers
+from cadml.classifiers import lockstep
+from cadml.classifiers import KNNParams, NBParams, SVMParams, TrainingSet, svm_fit
+from cadml.errors import DataError, EmptyMatrix, LengthMismatch, TooFewPerClass
 from cadml.evaluation import (
     ConfusionMatrix,
     confusion,
@@ -144,12 +147,17 @@ def test_cross_validate_deterministic(tiny_separable):
     assert a.to_dict() == b.to_dict()
 
 
-@pytest.mark.parametrize("width", ["7", "13"])
-def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, cleveland7, monkeypatch):
+@pytest.mark.parametrize("width, budget", [("7", 6 << 20), ("13", 6 << 20),
+                                           ("7", 3 << 20), ("13", 3 << 20)],
+                         ids=["7", "13", "7-3MB", "13-3MB"])
+def test_shared_gram_workspace_leaves_every_fit_exact(width, budget, cleveland, cleveland7,
+                                                      monkeypatch):
     """A search maps one Gram workspace, and each sigma overwrites the
-    matrices the one before left in it. With two sigmas x two C, every fold
+    matrices the one before left in it; under a 3 MB budget the folds go in
+    two groups of 5, which share it too. With two sigmas x two C, every fold
     model still equals svm_fit's own solve by smo, and every candidate's CV
     equals its CV alone."""
+    monkeypatch.setattr(lockstep, "_GRAM_STACK_BYTES", budget)
     view = {"7": cleveland7, "13": cleveland}[width]
     grid = [SVMParams(C=C, sigma=sigma) for sigma in (0.1268408, 0.05) for C in (0.25, 1.0)]
     fits = []
@@ -178,17 +186,19 @@ def test_shared_gram_workspace_leaves_every_fit_exact(width, cleveland, clevelan
 @pytest.mark.parametrize("case", ["grid-7", "grid-13", "cv-11", "cv-3"])
 def test_cleveland_folds_go_in_one_lockstep_batch(case, cleveland, cleveland7, monkeypatch):
     """The ten training folds of the Cleveland table fit one Gram stack, so
-    the default SVM grid search hands all ten to one solve_group call, on
-    the 7-feature view and on all 13 features, and every fold fit takes its
-    solve from it. An 11-fold cv splits 10 and 1, and the eleventh fold's
-    lone problem is solved by its fit. The workspace holds one stack of as
-    many folds as a group takes, and no more than there are: 3 at 3 folds."""
-    groups, solved_by_fit, mapped = [], [], []
-    solve, fit, workspace = evaluation.solve_group, classifiers.svm_fit, evaluation.gram_workspace
+    the default SVM grid search solves all 30 fold problems in one lockstep
+    batch, on the 7-feature view and on all 13 features, and every fold fit
+    takes its solve from it. An 11-fold cv splits its folds 10 and 1, and
+    the eleventh fold's lone problem is solved by its fit. The workspace
+    holds one stack of as many folds as a group takes, and no more than
+    there are: 3 at 3 folds. A batch is recorded as (stacked folds,
+    problems)."""
+    batches, solved_by_fit, mapped = [], [], []
+    solve, fit, workspace = lockstep.smo_lockstep, classifiers.svm_fit, lockstep.gram_workspace
 
-    def recording_solve(sets, *args):
-        groups.append(len(sets))
-        return solve(sets, *args)
+    def recording_solve(K, y, C, fold):
+        batches.append((len(K), len(fold)))
+        return solve(K, y, C, fold)
 
     def recording_fit(ds, params, solved=None):
         solved_by_fit.append(solved is None)
@@ -198,23 +208,44 @@ def test_cleveland_folds_go_in_one_lockstep_batch(case, cleveland, cleveland7, m
         mapped.append(nbytes)
         return workspace(nbytes)
 
-    monkeypatch.setattr(evaluation, "solve_group", recording_solve)
+    monkeypatch.setattr(lockstep, "smo_lockstep", recording_solve)
     monkeypatch.setattr(classifiers, "svm_fit", recording_fit)
-    monkeypatch.setattr(evaluation, "gram_workspace", recording_workspace)
+    monkeypatch.setattr(lockstep, "gram_workspace", recording_workspace)
     if case == "cv-11":
         cross_validate(cleveland7, SVMParams(), 11, 2018, scaling=True)
-        assert groups == [10, 1]
+        assert batches == [(10, 10)]
         assert solved_by_fit == [False] * 10 + [True]
         assert mapped == [8 * 10 * 270 * 270]
     elif case == "cv-3":
         cross_validate(cleveland7, SVMParams(), 3, 2018, scaling=True)
-        assert groups == [3]
+        assert batches == [(3, 3)]
         assert solved_by_fit == [False] * 3
         assert mapped == [8 * 3 * 198 * 198]
     else:
         view = {"7": cleveland7, "13": cleveland}[case.split("-")[1]]
         grid_search(view, default_grids()["svm"], 10, 2018)
-        assert groups == [10]
+        assert batches == [(10, 30)]
         # the 30 fold fits, then the winner's refit on all rows
         assert solved_by_fit == [False] * 30 + [True]
         assert mapped == [8 * 10 * 268 * 268]
+
+
+def test_a_fold_that_fails_after_fold_0_fails_the_candidates_left(cleveland7):
+    """Row 9, the first held-out row of fold 0, gets a MaxHeart of 1e155:
+    fold 0 z-scores and scores, and from fold 1 on z-scoring overflows. A
+    candidate that failed on fold 0 keeps its own error (k = 269 of 267
+    exemplars), and every other gets the overflow."""
+    folds = stratified_folds(cleveland7.y, 10, 2018)
+    assert folds.test_indices(0)[0] == 9
+    X = cleveland7.X.copy()
+    X[9, cleveland7.feature_names.index("MaxHeart")] = 1e155
+    view = replace(cleveland7, X=X)
+    TrainingSet(view.subset_rows(folds.train_indices(0)), scaling=True)
+    with pytest.raises(DataError):
+        TrainingSet(view.subset_rows(folds.train_indices(1)), scaling=True)
+    overflow = "DataError('a feature value is too large (overflow encountered in square)')"
+    knn = cross_validate_candidates(view, [KNNParams(k=k) for k in (5, 269, 7)], folds, True)
+    assert [repr(r) for r in knn] == [overflow, "TooFewRows('k=269 exceeds 267 exemplars')",
+                                      overflow]
+    svm = cross_validate_candidates(view, [SVMParams(C=0.25), SVMParams(C=1.0)], folds, True)
+    assert [repr(r) for r in svm] == [overflow, overflow]

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cadml import tuning
 from cadml.classifiers import KNNParams, NBParams, SVMParams, TrainingSet, fit_model, svm, svm_fit
-from cadml.classifiers.lockstep import gram_workspace, smo_lockstep, solve_group
+from cadml.classifiers.lockstep import smo_lockstep, solve_folds
 from cadml.classifiers.svm import (
     _ALPHA_EPS,
     _CHUNK_ROWS,
@@ -397,49 +397,53 @@ def all_ones_instance(n, C):
 
 
 @pytest.mark.parametrize("case", ["grid-7-2018", "grid-7-1", "grid-13-2018", "grid-13-1"])
-def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7):
+def test_lockstep_matches_smo_on_grid_folds(case, cleveland, cleveland7, monkeypatch):
     """The default grid's 30 fold problems, solved in lockstep as the grid
-    search's one batch of 10 folds x 3 C and as two groups of 5 folds x 3 C
-    (a table whose folds exceed the Gram budget still splits), padded to
-    268 rows where a fold has 267, give smo's solve of each, bit for bit, on
-    the same Gram matrix, dual objective included; the three batches share
-    one workspace."""
+    search's one batch of 10 folds x 3 C and, under a 3 MB Gram budget, as
+    two groups of 5 folds x 3 C that share one workspace (a table whose
+    folds exceed the budget still splits), padded to 268 rows where a fold
+    has 267, give smo's solve of each, bit for bit, on the same Gram matrix,
+    dual objective included."""
     width, seed = case.split("-")[1:]
     sets = fold_sets({"7": cleveland7, "13": cleveland}[width], int(seed))
     assert {len(ds.y) for ds in sets} == {267, 268}
     grid = tuning.default_grids()["svm"].candidates
-    want = []
-    for ds in sets:
+    want = {}
+    for s, ds in enumerate(sets):
         K = rbf_gram(ds.X, ds.X, grid[0].sigma)
-        want.append([smo(K, signs(ds), p.C) for p in grid])
-    workspace = gram_workspace(8 * 10 * 268 * 268)
-    for start, group in ((0, sets[:5]), (5, sets[5:]), (0, sets)):
-        solved = solve_group(group, grid, range(len(grid)), lambda: workspace)
-        assert len(solved) == 3 * len(group)
-        for s in range(len(group)):
-            for c in range(len(grid)):
-                assert_same_solve(solved[s, c], want[start + s][c])
+        want.update(((s, c), smo(K, signs(ds), p.C)) for c, p in enumerate(grid))
+    batches = []
+    monkeypatch.setattr("cadml.classifiers.lockstep.smo_lockstep",
+                        lambda K, *args: batches.append(len(K)) or smo_lockstep(K, *args))
+    for budget, groups in ((6 << 20, [10]), (3 << 20, [5, 5])):
+        monkeypatch.setattr("cadml.classifiers.lockstep._GRAM_STACK_BYTES", budget)
+        batches.clear()
+        solved = solve_folds(sets, grid)
+        assert batches == groups
+        assert sorted(solved) == sorted(want)
+        for p, got in solved.items():
+            assert_same_solve(got, want[p])
 
 
-def test_solve_group_leaves_three_kinds_of_problem_to_their_fits(cleveland7):
-    """solve_group returns smo's solve, bit for bit, of each live SVM problem
-    that shares a sigma with another, and leaves out the only problem of its
+def test_solve_folds_leaves_three_kinds_of_problem_to_their_fits(cleveland7):
+    """solve_folds returns smo's solve, bit for bit, of each SVM problem that
+    shares a sigma with another, and leaves out the only problem of its
     sigma, every problem of a sigma whose Gram matrix overflows (1e308), and
-    C = 1e8 beside C = 0.25 and 1.0, which smo_lockstep hands back; k-NN,
-    naive Bayes and a candidate that is not live are not solved."""
+    C = 1e8 beside C = 0.25 and 1.0, which smo_lockstep hands back; k-NN and
+    naive Bayes are not solved."""
     sets = fold_sets(cleveland7, 2018)[:5]
-    workspace = gram_workspace(8 * 5 * 268 * 268)
     candidates = [SVMParams(C=0.25), KNNParams(), SVMParams(C=1e8),
                   SVMParams(C=0.5, sigma=1e308), NBParams(), SVMParams(C=1.0),
-                  SVMParams(C=1.0, sigma=1e308), SVMParams(C=2.0, sigma=0.05)]
-    solved = solve_group(sets, candidates, range(7), lambda: workspace)
+                  SVMParams(C=1.0, sigma=1e308)]
+    solved = solve_folds(sets, candidates)
     assert sorted(solved) == [(s, c) for s in range(5) for c in (0, 5)]
     for (s, c), got in solved.items():
         K = rbf_gram(sets[s].X, sets[s].X, candidates[c].sigma)
         assert_same_solve(got, smo(K, signs(sets[s]), candidates[c].C))
-    # one set at one live C: a lone problem, solved by its fit
-    assert solve_group(sets[:1], candidates, [0, 1, 4, 7], lambda: workspace) == {}
-    assert list(solve_group(sets[:1], candidates, [0, 5], lambda: workspace)) == [(0, 0), (0, 5)]
+    # one set at one C per sigma: lone problems, solved by their fits
+    assert solve_folds(sets[:1], [SVMParams(C=0.25), KNNParams(), NBParams(),
+                                  SVMParams(C=2.0, sigma=0.05)]) == {}
+    assert list(solve_folds(sets[:1], [SVMParams(C=0.25), SVMParams(C=1.0)])) == [(0, 0), (0, 1)]
 
 
 def test_lockstep_matches_smo_on_mixed_batches():

@@ -146,6 +146,16 @@ def test_params_from_dict_reads_json_numbers():
         params_from_dict({"algorithm": "svm", "C": 10**400, "sigma": 0.5})
 
 
+def test_params_from_dict_names_a_key_that_is_no_field():
+    """A record takes "algorithm" and its own fields only: "K" is not k."""
+    with pytest.raises(ValueError, match="^knn record has no field 'K'$"):
+        params_from_dict({"algorithm": "knn", "k": 3, "K": 9})
+    with pytest.raises(ValueError, match="^svm record has no field 'gamma'$"):
+        params_from_dict({"algorithm": "svm", "C": 1, "sigma": 0.1, "gamma": 0.5})
+    with pytest.raises(ValueError, match="^nb record has no field 'k'$"):
+        params_from_dict({**NBParams().to_dict(), "k": 3})
+
+
 def per_fold_cross_validate(ds, params, folds, scaling):
     """CV as first written: fit_model on each training fold, which z-scores
     the fold and, for an SVM, builds its Gram matrix again for every call."""
